@@ -3,7 +3,7 @@
 from .config import ConfigError, RunConfig, config_from_mapping, load_config
 from .exprs import ExpressionError, compile_expression
 from .mapping import DomainMap, make_arctan_map, truncated_map
-from .network import NetworkParams, NetEval, ParamGradient, forward, init_params, param_grad
+from .network import NetworkParams, NetEval, forward, init_params, param_grad
 from .problems import (
     CollocationSet,
     ProblemSpec,
@@ -23,7 +23,7 @@ from .solver import (
     sweep_alpha,
     write_solution_outputs,
 )
-from .stepper import StepHistory, TimeGrid, b_weights, caputo_residual, make_time_grid, theta_residual
+from .stepper import StepHistory, TimeGrid, b_weights, caputo_residual, make_time_grid
 from .trainer import (
     CostBreakdown,
     TrainConfig,

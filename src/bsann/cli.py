@@ -34,6 +34,7 @@ from .config import (
 from .plots import LineSeries, write_line_plot
 from .solver import (
     SolveResult,
+    _fmt,
     build_collocation,
     compare_optimizers,
     error_metrics,
@@ -48,10 +49,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _load(args) -> RunConfig:
@@ -259,17 +256,26 @@ def _selftest_checks():
     import math as _math
 
     from .mapping import jacobians, make_arctan_map, to_x, truncated_map
-    from .network import forward, init_params, load_params_csv, save_params_csv
-    from .problems import european_call, european_put
-    from .special import gamma_fn, normal_cdf, sigmoid, sigmoid_deriv
+    from .network import (
+        NetworkParams,
+        _sigmoid_arr,
+        eval_batch,
+        forward,
+        init_params,
+        load_params_csv,
+        save_params_csv,
+    )
+    from .problems import european_call, european_put, normal_cdf
     from .stepper import StepHistory, b_weights, caputo_residual, make_time_grid
     from .trainer import OptimizerState, TrainConfig, adam_step
 
-    def check_special():
-        assert abs(sigmoid(0.0) - 0.5) < 1e-15
-        assert abs(sigmoid_deriv(1.0) - 0.19661193324148185) < 1e-12
-        for z in (0.5, 1.0, 2.5, 4.0, 7.5):
-            assert abs(gamma_fn(z) - _math.gamma(z)) <= 1e-12 * _math.gamma(z)
+    def check_sigmoid_and_cdf():
+        assert np.array_equal(_sigmoid_arr(np.array([0.0, -800.0, 800.0])), [0.5, 0.0, 1.0])
+        # one hidden unit with unit weights: the derivatives are s'(1) and s''(1)
+        unit = NetworkParams.from_flat(np.array([1.0, 0.0, 1.0, 0.0]), 1)
+        _, d1, d2 = eval_batch(unit, np.array([1.0]))
+        assert abs(d1[0] - 0.19661193324148185) < 1e-12
+        assert abs(d2[0] + 0.09085774767294841) < 1e-12
         assert abs(normal_cdf(1.96) - 0.9750021048517795) < 1e-12
         assert abs(normal_cdf(0.7) + normal_cdf(-0.7) - 1.0) < 1e-14
 
@@ -311,10 +317,11 @@ def _selftest_checks():
     def check_mapping():
         dmap = make_arctan_map(10.0, 0.6)
         assert abs(to_x(dmap, 10.0) - 0.6) < 1e-12
-        jac = jacobians(dmap, 0.5)
-        assert abs(jac.upsilon - dmap.length * _math.pi) < 1e-9
-        flat = truncated_map(15.0)
-        assert jacobians(flat, 3.0).upsilon == 1.0
+        upsilon, theta = jacobians(dmap, np.array([0.0, 0.5]))
+        assert abs(upsilon[1] - dmap.length * _math.pi) < 1e-9
+        assert theta[0] == 0.0
+        upsilon, theta = jacobians(truncated_map(15.0), np.array([3.0]))
+        assert upsilon[0] == 1.0 and theta[0] == 0.0
 
     def check_pricing():
         call = european_call(0.05, 0.2, 10.0, 1.0)
@@ -336,7 +343,7 @@ def _selftest_checks():
         assert np.array_equal(a.surface, b.surface)
 
     return [
-        ("special functions", check_special),
+        ("sigmoid and normal CDF", check_sigmoid_and_cdf),
         ("network evaluation and round-trip", check_network),
         ("marching weights and residual", check_stepper),
         ("adam first update", check_adam),

@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from .exprs import ExpressionError, compile_expression
-from .mapping import ARCTAN, TRUNCATED, DomainMap, make_arctan_map, truncated_map
+from .mapping import ARCTAN, TRUNCATED, DomainMap, from_x, make_arctan_map, truncated_map
 from .network import IDENTITY, SIGMOID
 from .problems import (
     INITIAL_DATA,
@@ -26,6 +28,7 @@ from .problems import (
     european_put,
     fractional_manufactured,
 )
+from .solver import build_collocation
 from .stepper import SpatialOperator, TimeGrid, make_time_grid
 from .trainer import OPTIMIZERS, TrainConfig
 
@@ -83,9 +86,12 @@ def _as_float(raw: Dict[str, str], key: str, default: Optional[float] = None) ->
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        value = float(raw[key])
     except ValueError:
         raise ConfigError(key, f"not a number: {raw[key]!r}") from None
+    if not np.isfinite(value):
+        raise ConfigError(key, f"not a finite number: {raw[key]!r}")
+    return value
 
 
 def _as_int(raw: Dict[str, str], key: str, default: Optional[int] = None) -> Optional[int]:
@@ -389,6 +395,25 @@ def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
     exact = None
     if "problem.exact" in raw:
         exact = _expr(raw, "problem.exact", ["S", "t"])
+
+    # a function that is not finite where training evaluates it would only
+    # surface later as a diverged cost, so name its key here instead
+    dmap = build_map(cfg)
+    s = from_x(dmap, build_collocation(dmap, cfg.n_points).points)
+    if dmap.kind == ARCTAN:
+        s = s[:-1]  # the x = 1 surrogate never enters training
+    samples = [("problem.gamma1", gamma1, (s,)), ("problem.gamma2", gamma2, (s,)),
+               ("problem.data", data, (s,))]
+    for t in (0.0, cfg.maturity):
+        samples += [("problem.forcing", forcing, (s, t)), ("problem.left_bc", left, (s[0], t)),
+                    ("problem.right_bc", right, (s[-1], t))]
+        if exact is not None:
+            samples.append(("problem.exact", exact, (s, t)))
+    with np.errstate(all="ignore"):
+        for key, fn, args in samples:
+            if not np.all(np.isfinite(fn(*args))):
+                raise ConfigError(key, "is not finite at every training price point")
+
     operator = SpatialOperator(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3, forcing=forcing)
     return ProblemSpec(
         name="custom",

@@ -7,7 +7,9 @@ names, +, -, *, /, **, unary minus, and a handful of math calls. Anything
 else (attributes, subscripts, comprehensions, names outside the whitelist)
 is rejected at compile time, so config files cannot smuggle code.
 
-Compiled callables broadcast over numpy arrays.
+Compiled callables broadcast over numpy arrays. Scalars are evaluated as
+numpy float64 too, so a division by zero or an overflow gives inf or nan
+(with numpy's warning) rather than a Python exception.
 """
 
 from __future__ import annotations
@@ -46,18 +48,27 @@ _BINOPS = {
 }
 
 
-def _check(node: ast.AST, variables: Sequence[str]) -> None:
+# _evaluate recurses once per level, from deep inside the solver's call
+# stack, so the depth stays far below the interpreter's recursion limit;
+# 200 is also CPython's limit on nested parentheses
+_MAX_DEPTH = 200
+
+
+def _check(node: ast.AST, variables: Sequence[str], depth: int) -> None:
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels")
+    depth += 1
     if isinstance(node, ast.Expression):
-        _check(node.body, variables)
+        _check(node.body, variables, depth)
     elif isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-        _check(node.left, variables)
-        _check(node.right, variables)
+        _check(node.left, variables, depth)
+        _check(node.right, variables, depth)
     elif isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-        _check(node.operand, variables)
+        _check(node.operand, variables, depth)
     elif isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} is not a number")
@@ -75,7 +86,7 @@ def _check(node: ast.AST, variables: Sequence[str]) -> None:
         if len(node.args) != arity:
             raise ExpressionError(f"{node.func.id} takes exactly {arity} argument(s)")
         for arg in node.args:
-            _check(arg, variables)
+            _check(arg, variables, depth)
     else:
         raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
 
@@ -89,7 +100,7 @@ def _evaluate(node: ast.AST, env: dict):
         val = _evaluate(node.operand, env)
         return -val if isinstance(node.op, ast.USub) else +val
     if isinstance(node, ast.Constant):
-        return float(node.value)
+        return np.float64(node.value)
     if isinstance(node, ast.Name):
         return env[node.id] if node.id in env else _CONSTANTS[node.id]
     if isinstance(node, ast.Call):
@@ -110,12 +121,17 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse {text!r}: {exc.msg}") from exc
-    _check(tree, variables)
+    except ValueError as exc:  # e.g. lone surrogates that cannot be encoded
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
+    except (RecursionError, MemoryError):
+        # the parser gives up on deep nesting with either error
+        raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels") from None
+    _check(tree, variables, 0)
 
     def fn(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} argument(s), got {len(args)}")
-        env = {name: np.asarray(val, dtype=float) if np.ndim(val) else float(val)
+        env = {name: np.asarray(val, dtype=float) if np.ndim(val) else np.float64(val)
                for name, val in zip(variables, args)}
         return _evaluate(tree, env)
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-
-from .network import NetEval
 
 TRUNCATED = "truncated"
 ARCTAN = "arctan"
@@ -51,12 +50,6 @@ class DomainMap:
                 raise ValueError(
                     f"right_eval_point must lie in (0.99, 1), got {self.right_eval_point}"
                 )
-
-
-@dataclass(frozen=True)
-class MapJacobians:
-    upsilon: float  # dS/dx
-    theta: float    # second-derivative correction coefficient
 
 
 def truncated_map(s_max: float) -> DomainMap:
@@ -89,33 +82,36 @@ def to_x(dmap: DomainMap, s):
 
 
 def from_x(dmap: DomainMap, x):
-    """Solver coordinate to price. Domain error at or beyond x = 1 for arctan."""
+    """Solver coordinate to price, as a new array (a float for scalar input).
+
+    Domain error at or beyond x = 1 for arctan maps.
+    """
     x_arr = np.asarray(x, dtype=float)
+    if np.any(x_arr < 0.0):
+        raise ValueError("coordinate must be non-negative")
     if dmap.kind == TRUNCATED:
-        if np.any(x_arr < 0.0):
-            raise ValueError("coordinate must be non-negative")
-        return x_arr if x_arr.ndim else float(x_arr)
-    if np.any(x_arr < 0.0) or np.any(x_arr >= 1.0):
+        out = x_arr.copy()
+    elif np.any(x_arr >= 1.0):
         raise ValueError("arctan map is defined for x in [0, 1); use right_eval_point for x = 1")
-    out = dmap.length * np.tan(math.pi * x_arr / 2.0)
+    else:
+        out = dmap.length * np.tan(math.pi * x_arr / 2.0)
     return out if out.ndim else float(out)
 
 
-def jacobians(dmap: DomainMap, x: float) -> MapJacobians:
-    """Chain-rule factors at one solver coordinate."""
+def jacobians(dmap: DomainMap, x) -> Tuple[np.ndarray, np.ndarray]:
+    """Chain-rule factors (upsilon = dS/dx, theta) at solver coordinates x."""
+    x = np.asarray(x, dtype=float)
     if dmap.kind == TRUNCATED:
-        return MapJacobians(upsilon=1.0, theta=0.0)
-    if not 0.0 <= x < 1.0:
+        return np.ones_like(x), np.zeros_like(x)
+    if np.any(x < 0.0) or np.any(x >= 1.0):
         raise ValueError("arctan jacobians are defined for x in [0, 1)")
-    half = math.pi * x / 2.0
-    c = math.cos(half)
-    upsilon = dmap.length * math.pi / (2.0 * c * c)
-    theta = -2.0 * c * math.sin(half) / dmap.length
-    return MapJacobians(upsilon=upsilon, theta=theta)
+    half = 0.5 * np.pi * x
+    cos_half = np.cos(half)
+    upsilon = dmap.length * np.pi / (2.0 * cos_half * cos_half)
+    theta = -2.0 * cos_half * np.sin(half) / dmap.length
+    return upsilon, theta
 
 
-def transform_derivatives(evaluation: NetEval, jac: MapJacobians) -> NetEval:
-    """Convert x-space derivatives of a network evaluation to price space."""
-    d1s = evaluation.d1 / jac.upsilon
-    d2s = evaluation.d2 / (jac.upsilon * jac.upsilon) + jac.theta * evaluation.d1 / jac.upsilon
-    return NetEval(value=evaluation.value, d1=d1s, d2=d2s)
+def transform_derivatives(d1, d2, upsilon, theta) -> Tuple[np.ndarray, np.ndarray]:
+    """Convert x-space first and second derivatives to price space."""
+    return d1 / upsilon, d2 / (upsilon * upsilon) + theta * d1 / upsilon

@@ -82,31 +82,6 @@ class NetEval:
     d2: float
 
 
-@dataclass(frozen=True)
-class ParamGradient:
-    """Gradient of one scalar target with respect to every parameter."""
-
-    hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    output_weights: np.ndarray
-    output_bias: float
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.hidden_weights, self.hidden_biases, self.output_weights, [self.output_bias]]
-        )
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n_hidden: int) -> "ParamGradient":
-        flat = np.asarray(flat, dtype=float)
-        return cls(
-            hidden_weights=flat[:n_hidden].copy(),
-            hidden_biases=flat[n_hidden : 2 * n_hidden].copy(),
-            output_weights=flat[2 * n_hidden : 3 * n_hidden].copy(),
-            output_bias=float(flat[-1]),
-        )
-
-
 def init_params(n_hidden: int, seed: int, scale: float = 0.01) -> NetworkParams:
     """Draw every parameter independently from U[-scale, scale], deterministically."""
     if n_hidden < 1:
@@ -213,8 +188,11 @@ def forward(params: NetworkParams, x: float, output_activation: str = IDENTITY) 
 
 def param_grad(
     params: NetworkParams, x: float, target: str = "value", output_activation: str = IDENTITY
-) -> ParamGradient:
-    """Exact gradient of value, d1 or d2 at one input point w.r.t. all parameters."""
+) -> NetworkParams:
+    """Exact gradient of value, d1 or d2 at one input point w.r.t. all parameters.
+
+    The gradient is returned in the parameters' own container and flat layout.
+    """
     _check_activation(output_activation)
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
@@ -227,7 +205,7 @@ def param_grad(
         output_activation,
     )
     g = out[{"value": 3, "d1": 4, "d2": 5}[target]][0]
-    return ParamGradient.from_flat(g, params.n_hidden)
+    return NetworkParams.from_flat(g, params.n_hidden)
 
 
 def save_params_csv(params: NetworkParams, path) -> None:

@@ -20,11 +20,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import gamma_fn, normal_cdf
 from .stepper import SpatialOperator
 
 TERMINAL_PAYOFF = "terminal_payoff"
 INITIAL_DATA = "initial_data"
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -187,8 +191,8 @@ def fractional_manufactured(
     a = 0.5 * sigma * sigma
     b = r - a
     c = r
-    g3ma = gamma_fn(3.0 - alpha)
-    g2ma = gamma_fn(2.0 - alpha)
+    g3ma = math.gamma(3.0 - alpha)
+    g2ma = math.gamma(2.0 - alpha)
 
     def forcing(s, t):
         s = np.asarray(s, dtype=float)

@@ -15,16 +15,16 @@ boundary condition is imposed at the outermost finite grid point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mapping import ARCTAN, DomainMap, from_x
+from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
 from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
 from .stepper import StepHistory, TimeGrid, make_time_grid, spatial_rhs
-from .trainer import TrainConfig, TrainingDiverged, train_step_network
+from .trainer import ProbeRun, TrainConfig, TrainingDiverged, probe_first_step, train_step_network
 
 
 def build_collocation(dmap: DomainMap, n_points: int) -> CollocationSet:
@@ -41,13 +41,6 @@ def build_collocation(dmap: DomainMap, n_points: int) -> CollocationSet:
         base[-1] = dmap.right_eval_point
         return CollocationSet(points=base)
     return collocation_points(0.0, dmap.s_max, n_points)
-
-
-def price_points(dmap: DomainMap, colloc: CollocationSet) -> np.ndarray:
-    """Collocation abscissae in price coordinates."""
-    if dmap.kind == ARCTAN:
-        return np.asarray(from_x(dmap, colloc.points), dtype=float)
-    return colloc.points.copy()
 
 
 @dataclass(frozen=True)
@@ -99,12 +92,7 @@ def _rhs_from_params(
     output_activation: str,
 ) -> np.ndarray:
     val, d1, d2 = eval_batch(params, colloc.points, output_activation)
-    if dmap.kind == ARCTAN:
-        half = 0.5 * np.pi * colloc.points
-        cos_half = np.cos(half)
-        ups = dmap.length * np.pi / (2.0 * cos_half * cos_half)
-        th = -2.0 * cos_half * np.sin(half) / dmap.length
-        d1, d2 = d1 / ups, d2 / (ups * ups) + th * d1 / ups
+    d1, d2 = transform_derivatives(d1, d2, *jacobians(dmap, colloc.points))
     return spatial_rhs(problem.operator, s_vals, t, val, d1, d2)
 
 
@@ -144,7 +132,7 @@ def solve(
             f"grid alpha {grid.alpha} does not match problem alpha {problem.alpha}"
         )
     colloc = build_collocation(dmap, n_points)
-    s_vals = price_points(dmap, colloc)
+    s_vals = from_x(dmap, colloc.points)
     surrogate = colloc.count - 1 if dmap.kind == ARCTAN else None
     history = StepHistory(problem.data(s_vals))
     params = init_params(n_hidden, cfg.seed, init_scale)
@@ -155,6 +143,23 @@ def solve(
     snapshots = []
     breakdowns = []
     walls = []
+
+    def result() -> SolveResult:
+        return SolveResult(
+            problem=problem,
+            dmap=dmap,
+            grid=grid,
+            colloc=colloc,
+            s_points=s_vals,
+            surface=history.values(),
+            params_per_step=tuple(snapshots),
+            breakdowns=tuple(breakdowns),
+            wall_times=np.asarray(walls),
+            surrogate_index=surrogate,
+            theta=theta,
+            output_activation=output_activation,
+        )
+
     for k in range(1, grid.n_steps + 1):
         t0 = time.perf_counter()
         try:
@@ -175,20 +180,7 @@ def solve(
             err = TrainingDiverged(
                 epoch=exc.epoch, cost=exc.cost, step_index=k - 1, breakdown=exc.breakdown
             )
-            err.partial = SolveResult(
-                problem=problem,
-                dmap=dmap,
-                grid=grid,
-                colloc=colloc,
-                s_points=s_vals,
-                surface=history.values(),
-                params_per_step=tuple(snapshots),
-                breakdowns=tuple(breakdowns),
-                wall_times=np.asarray(walls),
-                surrogate_index=surrogate,
-                theta=theta,
-                output_activation=output_activation,
-            )
+            err.partial = result()
             raise err from exc
         walls.append(time.perf_counter() - t0)
         params = res.params
@@ -199,20 +191,7 @@ def solve(
             rhs_old = _rhs_from_params(
                 params, problem, dmap, colloc, s_vals, k * grid.dt, output_activation
             )
-    return SolveResult(
-        problem=problem,
-        dmap=dmap,
-        grid=grid,
-        colloc=colloc,
-        s_points=s_vals,
-        surface=history.values(),
-        params_per_step=tuple(snapshots),
-        breakdowns=tuple(breakdowns),
-        wall_times=np.asarray(walls),
-        surrogate_index=surrogate,
-        theta=theta,
-        output_activation=output_activation,
-    )
+    return result()
 
 
 @dataclass(frozen=True)
@@ -245,21 +224,8 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
 
 
 @dataclass(frozen=True)
-class OptimizerRun:
-    name: str
-    breakdown: np.ndarray
-    diverged_epoch: Optional[int]
-    seconds: float
-    seconds_per_epoch: float
-
-    @property
-    def trace(self) -> np.ndarray:
-        return self.breakdown[:, 3]
-
-
-@dataclass(frozen=True)
 class OptimizerComparison:
-    runs: Dict[str, OptimizerRun]
+    runs: Dict[str, ProbeRun]
     s_points: np.ndarray
 
 
@@ -280,33 +246,13 @@ def compare_optimizers(
     Divergence of an optimizer is recorded as a truncated trace, never raised.
     """
     colloc = build_collocation(dmap, n_points)
-    s_vals = price_points(dmap, colloc)
-    history = StepHistory(problem.data(s_vals))
-    initial = init_params(n_hidden, cfg.seed, init_scale)
-    runs: Dict[str, OptimizerRun] = {}
-    for name in optimizers:
-        run_cfg = replace(cfg, optimizer=name)
-        t0 = time.perf_counter()
-        diverged_epoch = None
-        try:
-            res = train_step_network(
-                initial, problem, dmap, grid, colloc, history, 0, run_cfg,
-                theta, None, output_activation,
-            )
-            breakdown = res.breakdown
-        except TrainingDiverged as exc:
-            breakdown = exc.breakdown
-            diverged_epoch = exc.epoch
-        seconds = time.perf_counter() - t0
-        epochs_run = max(1, breakdown.shape[0] - 1)
-        runs[name] = OptimizerRun(
-            name=name,
-            breakdown=breakdown,
-            diverged_epoch=diverged_epoch,
-            seconds=seconds,
-            seconds_per_epoch=seconds / epochs_run,
-        )
-    return OptimizerComparison(runs=runs, s_points=s_vals)
+    probes = probe_first_step(
+        problem, dmap, grid, colloc, n_hidden, cfg,
+        [dict(optimizer=name) for name in optimizers], init_scale, theta, output_activation,
+    )
+    return OptimizerComparison(
+        runs=dict(zip(optimizers, probes)), s_points=from_x(dmap, colloc.points)
+    )
 
 
 @dataclass(frozen=True)
@@ -370,7 +316,7 @@ def sweep_alpha(
                 )
             )
     if s_pts is None:
-        s_pts = price_points(dmap, build_collocation(dmap, n_points))
+        s_pts = from_x(dmap, build_collocation(dmap, n_points).points)
     return SweepResult(s_points=s_pts, entries=tuple(entries))
 
 

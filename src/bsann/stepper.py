@@ -9,17 +9,17 @@ the classical L1 formula. With b_m = (m+1)^(1-alpha) - m^(1-alpha),
 whose truncation error is O(dt^(2-alpha)) for C^2 trajectories. At alpha = 1
 the weights collapse to (1, 0, 0, ...) and the residual reduces to backward
 Euler. The ordinary first derivative additionally supports a theta-weighted
-right-hand side ((new-old)/dt - theta*rhs_new - (1-theta)*rhs_old).
+right-hand side ((new-old)/dt - theta*rhs_new - (1-theta)*rhs_old), which the
+trainer folds into its per-step residual coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
-
-from .special import gamma_fn
 
 
 def b_weights(alpha: float, count: int) -> np.ndarray:
@@ -128,6 +128,35 @@ def spatial_rhs(
     )
 
 
+def l1_history(
+    grid: TimeGrid, history: StepHistory, n: int, columns=slice(None)
+) -> Tuple[float, np.ndarray]:
+    """Known part of the discrete time derivative for the candidate step n+1.
+
+    Returns (coef, acc) with the derivative of a candidate row U_{n+1} equal
+    to coef * (U_{n+1} + acc), where
+
+        acc = -U_n + sum_{m=1}^{n} b_m (U_{n+1-m} - U_{n-m}),
+        coef = 1 / (Gamma(2-alpha) dt^alpha),
+
+    restricted to the given history columns. At alpha = 1 the memory sum
+    vanishes and coef = 1/dt (backward Euler).
+    """
+    if n < 0 or history.steps_completed < n:
+        raise ValueError(f"history holds steps 0..{history.steps_completed}, need 0..{n}")
+    acc = -history.row(n)[columns]
+    if grid.alpha == 1.0:
+        return 1.0 / grid.dt, acc
+    coef = 1.0 / (math.gamma(2.0 - grid.alpha) * grid.dt**grid.alpha)
+    if n >= 1:
+        b = grid.b if grid.b.size >= n + 1 else b_weights(grid.alpha, n + 1)
+        rows = history.values()[: n + 1, columns]
+        diffs = rows[1:] - rows[:-1]  # diffs[j] = row_{j+1} - row_j
+        # sum_{m=1}^{n} b_m diffs[n-m] with the weights reversed onto j = 0..n-1
+        acc = acc + b[1 : n + 1][::-1] @ diffs
+    return coef, acc
+
+
 def caputo_residual(
     grid: TimeGrid,
     history: StepHistory,
@@ -144,40 +173,7 @@ def caputo_residual(
     """
     new_values = np.asarray(new_values, dtype=float)
     rhs_new = np.asarray(rhs_new, dtype=float)
-    if n < 0 or history.steps_completed < n:
-        raise ValueError(f"history holds steps 0..{history.steps_completed}, need 0..{n}")
     if new_values.shape != (history.n_points,) or rhs_new.shape != new_values.shape:
         raise ValueError("new_values and rhs_new must match the history grid width")
-    if grid.alpha == 1.0:
-        return (new_values - history.row(n)) / grid.dt - rhs_new
-    coef = 1.0 / (gamma_fn(2.0 - grid.alpha) * grid.dt**grid.alpha)
-    b = grid.b if grid.b.size >= n + 1 else b_weights(grid.alpha, n + 1)
-    acc = new_values - history.row(n)  # b_0 = 1
-    if n >= 1:
-        rows = history.values()[: n + 1]
-        diffs = rows[1:] - rows[:-1]  # diffs[j] = row_{j+1} - row_j
-        # sum_{m=1}^{n} b_m diffs[n-m] with the weights reversed onto j = 0..n-1
-        acc = acc + b[1 : n + 1][::-1] @ diffs
-    return coef * acc - rhs_new
-
-
-def theta_residual(
-    theta: float,
-    dt: float,
-    old_values: np.ndarray,
-    new_values: np.ndarray,
-    rhs_old: np.ndarray,
-    rhs_new: np.ndarray,
-) -> np.ndarray:
-    """Ordinary theta-scheme residual (theta = 1 fully implicit)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    old_values = np.asarray(old_values, dtype=float)
-    new_values = np.asarray(new_values, dtype=float)
-    rhs_old = np.asarray(rhs_old, dtype=float)
-    rhs_new = np.asarray(rhs_new, dtype=float)
-    if not (old_values.shape == new_values.shape == rhs_old.shape == rhs_new.shape):
-        raise ValueError("all vectors must share one shape")
-    return (new_values - old_values) / dt - (theta * rhs_new + (1.0 - theta) * rhs_old)
+    coef, acc = l1_history(grid, history, n)
+    return coef * (new_values + acc) - rhs_new

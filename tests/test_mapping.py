@@ -5,7 +5,6 @@ import pytest
 
 from bsann.mapping import (
     DomainMap,
-    MapJacobians,
     from_x,
     jacobians,
     make_arctan_map,
@@ -13,7 +12,6 @@ from bsann.mapping import (
     transform_derivatives,
     truncated_map,
 )
-from bsann.network import NetEval
 
 
 def test_length_places_strike_at_quantile():
@@ -74,40 +72,42 @@ def test_truncated_map_is_identity():
     dmap = truncated_map(15.0)
     xs = np.linspace(0.0, 15.0, 7)
     assert np.array_equal(np.asarray(to_x(dmap, xs)), xs)
-    assert np.array_equal(np.asarray(from_x(dmap, xs)), xs)
-    jac = jacobians(dmap, 3.0)
-    assert jac.upsilon == 1.0
-    assert jac.theta == 0.0
+    s = from_x(dmap, xs)
+    assert np.array_equal(s, xs)
+    s[0] = 99.0  # the result is a new array, not a view of the input
+    assert xs[0] == 0.0
+    upsilon, theta = jacobians(dmap, xs)
+    assert np.array_equal(upsilon, np.ones(7))
+    assert np.array_equal(theta, np.zeros(7))
 
 
 def test_jacobian_frozen_values():
     dmap = make_arctan_map(10.0, 0.6)
-    at0 = jacobians(dmap, 0.0)
-    assert at0.upsilon == pytest.approx(dmap.length * math.pi / 2.0, rel=1e-14)
-    assert at0.theta == 0.0
-    at_half = jacobians(dmap, 0.5)
-    assert at_half.upsilon == pytest.approx(dmap.length * math.pi, rel=1e-14)
-    assert at_half.theta == pytest.approx(-1.0 / dmap.length, rel=1e-14)
+    upsilon, theta = jacobians(dmap, np.array([0.0, 0.5]))
+    assert upsilon[0] == pytest.approx(dmap.length * math.pi / 2.0, rel=1e-14)
+    assert theta[0] == 0.0
+    assert upsilon[1] == pytest.approx(dmap.length * math.pi, rel=1e-14)
+    assert theta[1] == pytest.approx(-1.0 / dmap.length, rel=1e-14)
 
 
 def test_upsilon_is_map_derivative():
     dmap = make_arctan_map(10.0, 0.6)
     h = 1e-7
-    for x in (0.1, 0.35, 0.5, 0.72, 0.9):
-        fd = (from_x(dmap, x + h) - from_x(dmap, x - h)) / (2.0 * h)
-        assert jacobians(dmap, x).upsilon == pytest.approx(fd, rel=1e-6)
+    xs = np.array([0.1, 0.35, 0.5, 0.72, 0.9])
+    fd = (from_x(dmap, xs + h) - from_x(dmap, xs - h)) / (2.0 * h)
+    assert jacobians(dmap, xs)[0] == pytest.approx(fd, rel=1e-6)
 
 
 def test_theta_matches_derivative_identity():
     # theta = -upsilon'(x) / upsilon(x)^2, the second-derivative chain term
     dmap = make_arctan_map(10.0, 0.6)
     h = 1e-6
-    for x in (0.15, 0.4, 0.55, 0.8):
-        up = jacobians(dmap, x + h).upsilon
-        down = jacobians(dmap, x - h).upsilon
-        ups = jacobians(dmap, x).upsilon
-        expect = -(up - down) / (2.0 * h) / (ups * ups)
-        assert jacobians(dmap, x).theta == pytest.approx(expect, rel=1e-6)
+    xs = np.array([0.15, 0.4, 0.55, 0.8])
+    up = jacobians(dmap, xs + h)[0]
+    down = jacobians(dmap, xs - h)[0]
+    ups, theta = jacobians(dmap, xs)
+    expect = -(up - down) / (2.0 * h) / (ups * ups)
+    assert theta == pytest.approx(expect, rel=1e-6)
 
 
 def test_transform_recovers_price_derivatives_of_polynomials():
@@ -121,19 +121,19 @@ def test_transform_recovers_price_derivatives_of_polynomials():
         def u(s):
             return coeffs[0] + coeffs[1] * s + coeffs[2] * s ** 2 + coeffs[3] * s ** 3
 
-        x = float(rng.uniform(0.05, 0.8))
+        x = rng.uniform(0.05, 0.8, 3)
         s = from_x(dmap, x)
         ux = (u(from_x(dmap, x + h)) - u(from_x(dmap, x - h))) / (2.0 * h)
         uxx = (u(from_x(dmap, x + h)) - 2.0 * u(s) + u(from_x(dmap, x - h))) / (h * h)
-        got = transform_derivatives(NetEval(value=u(s), d1=ux, d2=uxx), jacobians(dmap, x))
+        d1, d2 = transform_derivatives(ux, uxx, *jacobians(dmap, x))
         want_d1 = coeffs[1] + 2.0 * coeffs[2] * s + 3.0 * coeffs[3] * s ** 2
         want_d2 = 2.0 * coeffs[2] + 6.0 * coeffs[3] * s
-        assert got.value == u(s)
-        assert got.d1 == pytest.approx(want_d1, rel=1e-5, abs=1e-7)
-        assert got.d2 == pytest.approx(want_d2, rel=1e-3, abs=1e-5)
+        assert d1 == pytest.approx(want_d1, rel=1e-5, abs=1e-7)
+        assert d2 == pytest.approx(want_d2, rel=1e-3, abs=1e-5)
 
 
 def test_identity_jacobians_leave_derivatives_alone():
-    net = NetEval(value=1.5, d1=-0.3, d2=0.9)
-    out = transform_derivatives(net, MapJacobians(upsilon=1.0, theta=0.0))
-    assert (out.value, out.d1, out.d2) == (1.5, -0.3, 0.9)
+    d1 = np.array([-0.3, 2.5, 0.0])
+    d2 = np.array([0.9, -1.25, 4.0])
+    got = transform_derivatives(d1, d2, *jacobians(truncated_map(15.0), np.array([0.0, 3.0, 15.0])))
+    assert np.array_equal(got[0], d1) and np.array_equal(got[1], d2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bsann.mapping import make_arctan_map, to_x, truncated_map
+from bsann.mapping import from_x, make_arctan_map, to_x, truncated_map
 from bsann.network import load_params_csv
 from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
 from bsann.solver import (
@@ -9,7 +9,6 @@ from bsann.solver import (
     compare_optimizers,
     error_metrics,
     history_at,
-    price_points,
     read_csv,
     read_numeric_csv,
     solve,
@@ -72,14 +71,14 @@ def test_build_collocation_arctan_surrogate():
 def test_price_points_units():
     dmap = make_arctan_map(10.0, 0.6)
     colloc = build_collocation(dmap, 10)
-    s = price_points(dmap, colloc)
+    s = from_x(dmap, colloc.points)
     assert s[0] == 0.0
     assert s[-1] > 1e7
     # strike sits at x = quantile by construction
     assert to_x(dmap, 10.0) == pytest.approx(0.6, abs=1e-12)
     trunc = truncated_map(5.0)
     tc = build_collocation(trunc, 7)
-    got = price_points(trunc, tc)
+    got = from_x(trunc, tc.points)
     got[0] = 99.0  # returned array is a copy
     assert tc.points[0] == 0.0
 

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bsann.special import gamma_fn, normal_cdf, sigmoid, sigmoid_deriv
+from bsann.network import NetworkParams, _sigmoid_arr, eval_batch
+from bsann.problems import normal_cdf
+
+
+def sigmoid(x):
+    return float(_sigmoid_arr(np.array([x]))[0])
+
+
+def unit_derivatives(x):
+    """s'(x) and s''(x) from a network with one hidden unit and unit weights."""
+    unit = NetworkParams.from_flat(np.array([1.0, 0.0, 1.0, 0.0]), 1)
+    _, d1, d2 = eval_batch(unit, np.array([x]))
+    return float(d1[0]), float(d2[0])
 
 
 def test_sigmoid_center_and_saturation():
@@ -12,62 +24,31 @@ def test_sigmoid_center_and_saturation():
     assert sigmoid(36.0) == pytest.approx(1.0, abs=1e-15)
     assert sigmoid(-36.0) == pytest.approx(0.0, abs=1e-15)
     # stability: huge magnitudes must not overflow
-    assert sigmoid(800.0) == 1.0
-    assert sigmoid(-800.0) == 0.0
+    with np.errstate(over="raise"):
+        assert np.array_equal(_sigmoid_arr(np.array([800.0, -800.0])), [1.0, 0.0])
 
 
 def test_sigmoid_monotone():
     xs = np.linspace(-10.0, 10.0, 201)
-    vals = np.array([sigmoid(x) for x in xs])
-    assert np.all(np.diff(vals) > 0.0)
+    assert np.all(np.diff(_sigmoid_arr(xs)) > 0.0)
 
 
 def test_sigmoid_deriv_frozen_values():
     # s(1) = 0.7310585786300049
-    assert sigmoid_deriv(1.0) == pytest.approx(0.19661193324148185, abs=1e-15)
-    assert sigmoid_deriv(1.0, order=2) == pytest.approx(-0.09085774767294841, abs=1e-15)
-    assert sigmoid_deriv(0.0) == 0.25
-    assert sigmoid_deriv(0.0, order=2) == 0.0
+    d1, d2 = unit_derivatives(1.0)
+    assert d1 == pytest.approx(0.19661193324148185, abs=1e-15)
+    assert d2 == pytest.approx(-0.09085774767294841, abs=1e-15)
+    assert unit_derivatives(0.0) == (0.25, 0.0)
 
 
 def test_sigmoid_deriv_matches_finite_differences():
     h = 1e-6
     for x in (-2.5, -0.3, 0.0, 0.7, 3.1):
+        d1, d2 = unit_derivatives(x)
         fd1 = (sigmoid(x + h) - sigmoid(x - h)) / (2.0 * h)
-        assert sigmoid_deriv(x) == pytest.approx(fd1, rel=1e-8, abs=1e-10)
-        fd2 = (sigmoid_deriv(x + h) - sigmoid_deriv(x - h)) / (2.0 * h)
-        assert sigmoid_deriv(x, order=2) == pytest.approx(fd2, rel=1e-7, abs=1e-10)
-
-
-def test_sigmoid_deriv_rejects_other_orders():
-    with pytest.raises(ValueError):
-        sigmoid_deriv(0.0, order=3)
-    with pytest.raises(ValueError):
-        sigmoid_deriv(0.0, order=0)
-
-
-def test_gamma_against_math_gamma():
-    zs = np.linspace(0.05, 10.0, 200)
-    for z in zs:
-        ref = math.gamma(z)
-        assert abs(gamma_fn(float(z)) - ref) <= 1e-12 * abs(ref)
-
-
-def test_gamma_half_is_sqrt_pi():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(7)
-    for z in rng.uniform(0.1, 8.0, 50):
-        assert gamma_fn(z + 1.0) == pytest.approx(z * gamma_fn(z), rel=1e-12)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_fn(0.0)
-    with pytest.raises(ValueError):
-        gamma_fn(-1.3)
+        assert d1 == pytest.approx(fd1, rel=1e-8, abs=1e-10)
+        fd2 = (unit_derivatives(x + h)[0] - unit_derivatives(x - h)[0]) / (2.0 * h)
+        assert d2 == pytest.approx(fd2, rel=1e-7, abs=1e-10)
 
 
 def test_normal_cdf_frozen_and_tails():
