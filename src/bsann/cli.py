@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from dataclasses import replace
 from typing import Optional
 
@@ -61,6 +62,10 @@ def _load(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.no_plots:
         cfg = replace(cfg, plots=False)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output.dir", f"cannot create {cfg.out_dir}: {exc}") from None
     return cfg
 
 
@@ -106,7 +111,6 @@ def cmd_solve(args) -> int:
     dmap = build_map(cfg)
     grid = build_grid(cfg)
     tcfg = build_train_config(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         result = solve(
             problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
@@ -139,7 +143,6 @@ def cmd_compare(args) -> int:
         problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
         cfg.compare_optimizers, cfg.theta, cfg.init_scale, cfg.output_activation,
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
     series = []
     with open(os.path.join(cfg.out_dir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("optimizer,status,epochs_recorded,diverged_epoch,final_cost,seconds,seconds_per_epoch\n")
@@ -181,7 +184,6 @@ def cmd_sweep_alpha(args) -> int:
         family, cfg.sweep_alphas, dmap, cfg.n_steps, cfg.n_hidden, cfg.n_points,
         tcfg, cfg.init_scale, cfg.output_activation,
     )
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ok_entries = [e for e in result.entries if e.final_row is not None]
     with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("S," + ",".join(f"alpha_{e.alpha:g}" for e in ok_entries) + "\n")
@@ -228,7 +230,6 @@ def cmd_lr_search(args) -> int:
     except LrSearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "lr_search.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("eta,status,final_cost,diverged_epoch\n")
         for outcome in search.outcomes:
@@ -282,10 +283,10 @@ def _selftest_checks():
     def check_network():
         params = init_params(7, 3)
         assert params.size == 22
-        tmp = os.path.join(os.getcwd(), ".selftest_params.csv")
-        save_params_csv(params, tmp)
-        back = load_params_csv(tmp)
-        os.remove(tmp)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "params.csv")
+            save_params_csv(params, path)
+            back = load_params_csv(path)
         assert np.array_equal(params.to_flat(), back.to_flat())
         x = 0.37
         h = 1e-5

@@ -69,13 +69,12 @@ _KNOWN_KEYS = {
     "problem.gamma1", "problem.gamma2", "problem.gamma3", "problem.forcing",
     "problem.data", "problem.data_kind", "problem.left_bc", "problem.right_bc",
     "problem.exact",
-    "map.kind", "map.s_max", "map.l", "map.right_eval_point", "map.reference_price",
+    "map.kind", "map.s_max", "map.l", "map.reference_price",
     "grid.n_steps", "grid.alpha", "grid.theta",
     "points.count",
     "network.n_hidden", "network.seed", "network.init_scale", "network.output_activation",
-    "training.optimizer", "training.eta", "training.beta1", "training.beta2",
-    "training.epsilon", "training.epochs_first", "training.epochs_rest",
-    "output.dir", "output.plots",
+    "training.optimizer", "training.eta", "training.epochs_first", "training.epochs_rest",
+    "output.dir",
     "compare.optimizers",
     "sweep.alphas",
     "lr.candidates", "lr.probe_epochs",
@@ -101,17 +100,6 @@ def _as_int(raw: Dict[str, str], key: str, default: Optional[int] = None) -> Opt
         return int(raw[key])
     except ValueError:
         raise ConfigError(key, f"not an integer: {raw[key]!r}") from None
-
-
-def _as_bool(raw: Dict[str, str], key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    val = raw[key].lower()
-    if val in ("true", "1", "yes", "on"):
-        return True
-    if val in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(key, f"not a boolean: {raw[key]!r}")
 
 
 def _as_floats(raw: Dict[str, str], key: str) -> Optional[Tuple[float, ...]]:
@@ -153,7 +141,6 @@ class RunConfig:
     map_kind: str
     s_max: float
     quantile: float
-    right_eval_point: float
     reference_price: Optional[float]
     n_steps: int
     alpha: float
@@ -165,13 +152,10 @@ class RunConfig:
     output_activation: str
     optimizer: str
     eta: float
-    beta1: float
-    beta2: float
-    epsilon: float
     epochs_first: int
     epochs_rest: int
     out_dir: str
-    plots: bool
+    plots: bool                       # SVG output; only --no-plots turns it off
     compare_optimizers: Tuple[str, ...]
     sweep_alphas: Optional[Tuple[float, ...]]
     lr_candidates: Optional[Tuple[float, ...]]
@@ -233,11 +217,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     quantile = _as_float(raw, "map.l", 0.6)
     if not 0.0 < quantile < 1.0:
         raise ConfigError("map.l", f"must lie in (0, 1), got {quantile}")
-    right_eval_point = _as_float(raw, "map.right_eval_point", 0.9999999)
-    if map_kind == ARCTAN and not 0.99 < right_eval_point < 1.0:
-        raise ConfigError(
-            "map.right_eval_point", f"must lie in (0.99, 1), got {right_eval_point}"
-        )
     reference_price = _as_float(raw, "map.reference_price", None)
     if map_kind == ARCTAN:
         anchor = reference_price if reference_price is not None else strike
@@ -294,15 +273,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     eta = _as_float(raw, "training.eta", 0.03)
     if not 0.0 < eta < 1.0:
         raise ConfigError("training.eta", f"must lie in (0, 1), got {eta}")
-    beta1 = _as_float(raw, "training.beta1", 0.9)
-    beta2 = _as_float(raw, "training.beta2", 0.999)
-    if not 0.0 <= beta1 < 1.0:
-        raise ConfigError("training.beta1", f"must lie in [0, 1), got {beta1}")
-    if not 0.0 <= beta2 < 1.0:
-        raise ConfigError("training.beta2", f"must lie in [0, 1), got {beta2}")
-    epsilon = _as_float(raw, "training.epsilon", 1e-8)
-    if not epsilon > 0.0:
-        raise ConfigError("training.epsilon", f"must be positive, got {epsilon}")
     epochs_first = _as_int(raw, "training.epochs_first", 5000)
     epochs_rest = _as_int(raw, "training.epochs_rest", 1200)
     if epochs_first < 1:
@@ -311,7 +281,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
         raise ConfigError("training.epochs_rest", f"must be >= 1, got {epochs_rest}")
 
     out_dir = raw.get("output.dir", "out")
-    plots = _as_bool(raw, "output.plots", True)
 
     compare_raw = raw.get("compare.optimizers", "adam,sgd,rmsprop")
     compare = tuple(piece.strip() for piece in compare_raw.split(",") if piece.strip())
@@ -346,7 +315,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
         map_kind=map_kind,
         s_max=s_max,
         quantile=quantile,
-        right_eval_point=right_eval_point,
         reference_price=reference_price,
         n_steps=n_steps,
         alpha=alpha,
@@ -358,13 +326,10 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
         output_activation=output_activation,
         optimizer=optimizer,
         eta=eta,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
         epochs_first=epochs_first,
         epochs_rest=epochs_rest,
         out_dir=out_dir,
-        plots=plots,
+        plots=True,
         compare_optimizers=compare,
         sweep_alphas=sweep_alphas,
         lr_candidates=lr_candidates,
@@ -377,7 +342,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
     return config_from_mapping(parse_kv_text(text))
 
@@ -447,20 +412,17 @@ def build_map(cfg: RunConfig) -> DomainMap:
     if cfg.map_kind == TRUNCATED:
         return truncated_map(cfg.s_max)
     anchor = cfg.reference_price if cfg.reference_price is not None else cfg.strike
-    return make_arctan_map(anchor, cfg.quantile, cfg.right_eval_point)
+    return make_arctan_map(anchor, cfg.quantile)
 
 
-def build_grid(cfg: RunConfig, alpha: Optional[float] = None) -> TimeGrid:
-    return make_time_grid(cfg.n_steps, cfg.maturity, cfg.alpha if alpha is None else alpha)
+def build_grid(cfg: RunConfig) -> TimeGrid:
+    return make_time_grid(cfg.n_steps, cfg.maturity, cfg.alpha)
 
 
 def build_train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
         optimizer=cfg.optimizer,
         eta=cfg.eta,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
         epochs_first=cfg.epochs_first,
         epochs_rest=cfg.epochs_rest,
         seed=cfg.seed,

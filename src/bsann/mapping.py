@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
@@ -36,38 +36,30 @@ class DomainMap:
     s_max: float = 0.0          # truncated mode: right edge of the price grid
     length: float = 0.0         # arctan mode: characteristic length L
     quantile: float = 0.6       # arctan mode: x-position of the reference price
-    right_eval_point: float = 0.9999999  # surrogate abscissa for x = 1
+    # arctan mode: the far-field surrogate abscissa standing in for x = 1
+    right_eval_point: ClassVar[float] = 0.9999999
 
     def __post_init__(self):
         if self.kind not in (TRUNCATED, ARCTAN):
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == TRUNCATED and not self.s_max > 0.0:
             raise ValueError(f"truncated map needs s_max > 0, got {self.s_max}")
-        if self.kind == ARCTAN:
-            if not self.length > 0.0:
-                raise ValueError(f"arctan map needs a positive length, got {self.length}")
-            if not 0.99 < self.right_eval_point < 1.0:
-                raise ValueError(
-                    f"right_eval_point must lie in (0.99, 1), got {self.right_eval_point}"
-                )
+        if self.kind == ARCTAN and not self.length > 0.0:
+            raise ValueError(f"arctan map needs a positive length, got {self.length}")
 
 
 def truncated_map(s_max: float) -> DomainMap:
     return DomainMap(kind=TRUNCATED, s_max=float(s_max))
 
 
-def make_arctan_map(
-    reference_price: float, quantile: float = 0.6, right_eval_point: float = 0.9999999
-) -> DomainMap:
+def make_arctan_map(reference_price: float, quantile: float = 0.6) -> DomainMap:
     """Arctan map placing reference_price at x = quantile."""
     if not reference_price > 0.0:
         raise ValueError(f"reference_price must be positive, got {reference_price}")
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
     length = reference_price / math.tan(math.pi * quantile / 2.0)
-    return DomainMap(
-        kind=ARCTAN, length=length, quantile=quantile, right_eval_point=right_eval_point
-    )
+    return DomainMap(kind=ARCTAN, length=length, quantile=quantile)
 
 
 def to_x(dmap: DomainMap, s):

@@ -59,10 +59,6 @@ class SolveResult:
     output_activation: str = IDENTITY
 
     @property
-    def march_times(self) -> np.ndarray:
-        return self.grid.times()
-
-    @property
     def natural_times(self) -> np.ndarray:
         """Calendar times per surface row (maturity - tau for option problems)."""
         t = self.grid.times()

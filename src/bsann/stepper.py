@@ -73,36 +73,48 @@ def make_time_grid(n_steps: int, horizon: float, alpha: float = 1.0) -> TimeGrid
 
 
 class StepHistory:
-    """Per-step solution values on the collocation grid; row 0 is the data."""
+    """Per-step solution values on the collocation grid; row 0 is the data.
+
+    Rows live in one array whose capacity doubles when it fills, so a march
+    of N steps copies O(N r) values in total and values() is a view.
+    """
 
     def __init__(self, initial_row: np.ndarray):
         row = np.asarray(initial_row, dtype=float)
         if row.ndim != 1 or row.size < 1:
             raise ValueError("initial row must be a non-empty 1-d array")
-        self._rows = [row.copy()]
+        self._buf = row[None, :].copy()
+        self._count = 1
 
     @property
     def n_points(self) -> int:
-        return self._rows[0].size
+        return self._buf.shape[1]
 
     @property
     def steps_completed(self) -> int:
-        return len(self._rows) - 1
+        return self._count - 1
 
     def row(self, k: int) -> np.ndarray:
-        return self._rows[k]
+        return self.values()[k]
 
     def append(self, row: np.ndarray) -> None:
         row = np.asarray(row, dtype=float)
-        if row.shape != self._rows[0].shape:
+        if row.shape != self._buf.shape[1:]:
             raise ValueError(
-                f"row shape {row.shape} does not match the grid width {self._rows[0].shape}"
+                f"row shape {row.shape} does not match the grid width {self._buf.shape[1:]}"
             )
-        self._rows.append(row.copy())
+        if self._count == self._buf.shape[0]:
+            grown = np.empty((2 * self._count, self.n_points))
+            grown[: self._count] = self._buf
+            self._buf = grown
+        self._buf[self._count] = row
+        self._count += 1
 
     def values(self) -> np.ndarray:
-        """(steps_completed + 1, n_points) matrix, row k = step k."""
-        return np.vstack(self._rows)
+        """Read-only (steps_completed + 1, n_points) view, row k = step k."""
+        view = self._buf[: self._count]
+        view.flags.writeable = False
+        return view
 
 
 @dataclass(frozen=True)

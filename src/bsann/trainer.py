@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional, Sequence
+from typing import ClassVar, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .network import (
     IDENTITY,
     NetworkParams,
     _check_activation,
-    _raw_eval,
     _raw_eval_grads,
     init_params,
 )
@@ -60,11 +59,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    # Adam's moment decays (Kingma & Ba 2015) and the denominator guard that
+    # Adam and RMSprop share are constants, not settings
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
+
     optimizer: str = ADAM
     eta: float = 0.03
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs_first: int = 5000
     epochs_rest: int = 1200
     seed: int = 0
@@ -74,10 +76,6 @@ class TrainConfig:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if not self.eta > 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.epochs_first < 1 or self.epochs_rest < 1:
             raise ValueError("epoch counts must be >= 1")
 
@@ -204,17 +202,6 @@ def _split_flat(flat: np.ndarray, n: int):
     return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
 
 
-def _context_cost(ctx: StepContext, flat: np.ndarray, n: int) -> CostBreakdown:
-    w, b, v, beta = _split_flat(flat, n)
-    val, d1, d2 = _raw_eval(w, b, v, beta, ctx.points, ctx.output_activation)
-    idx = ctx.pde_index
-    resid = ctx.a_value * val[idx] + ctx.a_d1 * d1[idx] + ctx.a_d2 * d2[idx] + ctx.offset
-    pde = float(resid @ resid) / (2.0 * ctx.r_norm)
-    left = float(val[ctx.left_index] - ctx.left_target) ** 2
-    right = float(val[ctx.right_index] - ctx.right_target) ** 2
-    return CostBreakdown(pde_term=pde, left_bc_term=left, right_bc_term=right, total=pde + left + right)
-
-
 def _context_cost_grad(ctx: StepContext, flat: np.ndarray, n: int):
     w, b, v, beta = _split_flat(flat, n)
     val, d1, d2, g_val, g_d1, g_d2 = _raw_eval_grads(w, b, v, beta, ctx.points, ctx.output_activation)
@@ -255,7 +242,8 @@ def step_cost(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    return _context_cost(ctx, params.to_flat(), params.n_hidden)
+    cost, _ = _context_cost_grad(ctx, params.to_flat(), params.n_hidden)
+    return cost
 
 
 def cost_gradient(
@@ -354,16 +342,13 @@ def train_step_network(
     flat = initial.to_flat()
     state = OptimizerState.zeros(flat.size)
     breakdown = np.empty((epochs + 1, 4))
-    for e in range(epochs):
+    for e in range(epochs + 1):
         cost, grad = _context_cost_grad(ctx, flat, n)
         breakdown[e] = (cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total)
         if not np.isfinite(cost.total) or cost.total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(epoch=e, cost=cost.total, breakdown=breakdown[: e + 1].copy())
-        state, flat = step_fn(state, flat, grad, cfg)
-    cost = _context_cost(ctx, flat, n)
-    breakdown[epochs] = (cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total)
-    if not np.isfinite(cost.total) or cost.total > DIVERGENCE_LIMIT:
-        raise TrainingDiverged(epoch=epochs, cost=cost.total, breakdown=breakdown.copy())
+        if e < epochs:
+            state, flat = step_fn(state, flat, grad, cfg)
     return StepTrainResult(params=NetworkParams.from_flat(flat, n), breakdown=breakdown)
 
 

@@ -141,6 +141,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, constant_cfg(tmp_path / "y"), "seed.cfg")
     assert main(["solve", "--config", cfg, "--seed", "-4"]) == 2
     assert "network.seed" in capsys.readouterr().err
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["solve", "--config", cfg, "--out", str(blocker / "sub")]) == 2
+    assert "config error: output.dir" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"problem.name = european_call\n# \xff\n")
+    assert main(["solve", "--config", str(latin1)]) == 2
+    assert "config error: config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -276,6 +284,14 @@ def test_selftest_passes(tmp_path, monkeypatch, capsys):
     assert stdout.count("PASS ") == 7
     assert "FAIL" not in stdout
     assert "all checks passed" in stdout
+    assert list(tmp_path.iterdir()) == []
+    # the selftest needs no working directory at all, not even an existing one
+    gone = tmp_path / "gone"
+    gone.mkdir()
+    monkeypatch.chdir(gone)
+    gone.rmdir()
+    assert main(["selftest"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_console_script_entry_point():

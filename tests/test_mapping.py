@@ -61,8 +61,6 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         make_arctan_map(10.0, 1.2)
     with pytest.raises(ValueError):
-        make_arctan_map(10.0, 0.6, right_eval_point=0.5)
-    with pytest.raises(ValueError):
         truncated_map(0.0)
     with pytest.raises(ValueError):
         DomainMap(kind="spherical")

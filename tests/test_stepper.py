@@ -95,6 +95,14 @@ def test_step_history():
     assert hist.values().shape == (2, 3)
     with pytest.raises(ValueError):
         hist.append(np.array([1.0, 2.0]))
+    # growing past the current capacity keeps every earlier row
+    for k in range(2, 9):
+        hist.append(np.full(3, float(k)))
+    assert hist.steps_completed == 8
+    assert np.array_equal(hist.values()[2:, 0], np.arange(2.0, 9.0))
+    assert np.array_equal(hist.row(1), [4.0, 5.0, 6.0])
+    with pytest.raises(ValueError):
+        hist.values()[0, 0] = 9.0  # views are read-only
 
 
 def test_caputo_alpha_one_is_backward_euler():

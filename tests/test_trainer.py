@@ -64,12 +64,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(eta=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(beta2=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(epochs_first=0)
 
 
@@ -85,7 +79,7 @@ def test_adam_first_step_formula():
 
 def test_adam_ten_step_hand_trace():
     # independent scalar re-implementation of the update rules
-    cfg = TrainConfig(eta=0.1, beta1=0.8, beta2=0.99, epsilon=1e-8)
+    cfg = TrainConfig(eta=0.1)
     rng = np.random.default_rng(100)
     grads = rng.normal(size=(10, 4))
     state = OptimizerState.zeros(4)
@@ -97,10 +91,10 @@ def test_adam_ten_step_hand_trace():
         state, p = adam_step(state, p, grads[i], cfg)
         for j in range(4):
             g = float(grads[i][j])
-            m[j] = (1.0 - 0.8) * g + 0.8 * m[j]
-            v[j] = (1.0 - 0.99) * g * g + 0.99 * v[j]
-            mhat = m[j] / (1.0 - 0.8 ** (i + 1))
-            vhat = v[j] / (1.0 - 0.99 ** (i + 1))
+            m[j] = (1.0 - 0.9) * g + 0.9 * m[j]
+            v[j] = (1.0 - 0.999) * g * g + 0.999 * v[j]
+            mhat = m[j] / (1.0 - 0.9 ** (i + 1))
+            vhat = v[j] / (1.0 - 0.999 ** (i + 1))
             ph[j] -= 0.1 * mhat / (math.sqrt(vhat) + 1e-8)
         assert np.max(np.abs(p - np.array(ph))) < 1e-12
 
