@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,7 +52,12 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _load(args) -> RunConfig:
+def _load(args, check: Optional[Callable[[RunConfig], None]] = None) -> RunConfig:
+    """Resolved config with the command-line overrides applied.
+
+    `check` raises ConfigError for keys the command itself needs; it runs
+    before the output directory is created, so a config error creates nothing.
+    """
     cfg = load_config(args.config)
     if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
@@ -62,6 +67,8 @@ def _load(args) -> RunConfig:
         cfg = replace(cfg, seed=args.seed)
     if args.no_plots:
         cfg = replace(cfg, plots=False)
+    if check is not None:
+        check(cfg)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
@@ -168,12 +175,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_alpha(args) -> int:
-    cfg = _load(args)
+def _check_sweep_alpha(cfg: RunConfig) -> None:
     if cfg.sweep_alphas is None:
         raise ConfigError("sweep.alphas", "required key is missing")
     if cfg.problem_name != "fractional_manufactured":
         raise ConfigError("problem.name", "sweep-alpha applies to the fractional benchmark")
+
+
+def cmd_sweep_alpha(args) -> int:
+    cfg = _load(args, _check_sweep_alpha)
     dmap = build_map(cfg)
     tcfg = build_train_config(cfg)
 
@@ -213,10 +223,13 @@ def cmd_sweep_alpha(args) -> int:
     return EXIT_OK
 
 
-def cmd_lr_search(args) -> int:
-    cfg = _load(args)
+def _check_lr_search(cfg: RunConfig) -> None:
     if cfg.lr_candidates is None:
         raise ConfigError("lr.candidates", "required key is missing")
+
+
+def cmd_lr_search(args) -> int:
+    cfg = _load(args, _check_lr_search)
     problem = build_problem(cfg)
     dmap = build_map(cfg)
     grid = build_grid(cfg)

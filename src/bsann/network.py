@@ -97,7 +97,7 @@ def _sigmoid_arr(z: np.ndarray) -> np.ndarray:
     # exp is only ever taken of a non-positive argument, so no overflow
     pos = z >= 0
     ez = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(pos, 1.0, ez) / (1.0 + ez)
 
 
 def _raw_eval(w, b, v, beta, x, output_activation=IDENTITY):
@@ -117,33 +117,76 @@ def _raw_eval(w, b, v, beta, x, output_activation=IDENTITY):
     return q, q1 * px, q2 * px * px + q1 * pxx
 
 
-def _raw_eval_grads(w, b, v, beta, x, output_activation=IDENTITY):
+def grad_blocks(r: int, n: int) -> np.ndarray:
+    """Caller-owned output of _raw_eval_grads for r inputs and n hidden units.
+
+    Three (r, 3n+1) blocks for value, d1 and d2 in the flat layout order. The
+    output-bias column is constant (ones for the value, zeros for both
+    derivatives); it is filled here and _raw_eval_grads never writes it, so
+    one set of blocks serves any number of calls.
+    """
+    blocks = np.zeros((3, r, 3 * n + 1))
+    blocks[0, :, -1] = 1.0
+    return blocks
+
+
+def _raw_eval_grads(w, b, v, beta, x, blocks, output_activation=IDENTITY):
     """As _raw_eval, plus parameter gradients of value, d1 and d2.
 
     Returns (value, d1, d2, g_value, g_d1, g_d2) where each g_* has shape
-    (len(x), 3n+1) in the flat layout order.
+    (len(x), 3n+1) in the flat layout order. The identity head writes its
+    gradients into `blocks` (see grad_blocks) and returns them; the sigmoid
+    head returns new arrays computed from them.
     """
-    r = x.shape[0]
-    z = np.outer(x, w) + b
+    n = w.size
+    z = np.outer(x, w)
+    z += b
     s = _sigmoid_arr(z)
     s1 = s * (1.0 - s)
     s2 = s1 * (1.0 - 2.0 * s)
-    s3 = s1 * (1.0 - 6.0 * s + 6.0 * s * s)
+    s6 = 6.0 * s
+    s3 = s1 * (1.0 - s6 + s6 * s)
     ww = w * w
     xs = x[:, None]
+    s1w = s1 * w
+    s2ww = s2 * ww
 
     p = s @ v + beta
-    px = (s1 * w) @ v
-    pxx = (s2 * ww) @ v
+    px = s1w @ v
+    pxx = s2ww @ v
 
-    ones = np.ones((r, 1))
-    zeros = np.zeros((r, 1))
-    # gradients of the pre-activation head P and its input derivatives
-    g_p = np.concatenate([v * s1 * xs, v * s1, s, ones], axis=1)
-    g_px = np.concatenate([v * (s2 * w * xs + s1), v * s2 * w, s1 * w, zeros], axis=1)
-    g_pxx = np.concatenate(
-        [v * (s3 * ww * xs + 2.0 * w * s2), v * s3 * ww, s2 * ww, zeros], axis=1
-    )
+    # gradients of the pre-activation head P and its input derivatives by
+    # parameter group (hidden weights, hidden biases, output weights, output
+    # bias). The in-place sequences below evaluate exactly these products,
+    # left to right: regrouping one changes its last bits, and training
+    # amplifies those into visibly different solutions.
+    #   g_p   = [v*s1*xs,                 v*s1,       s,     1]
+    #   g_px  = [v*(s2*w*xs + s1),        v*s2*w,     s1*w,  0]
+    #   g_pxx = [v*(s3*ww*xs + 2*w*s2),   v*s3*ww,    s2*ww, 0]
+    g_p, g_px, g_pxx = blocks
+    hw, hb, ov = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    p_w, p_b = g_p[:, hw], g_p[:, hb]
+    np.multiply(v, s1, out=p_b)
+    np.multiply(p_b, xs, out=p_w)
+    g_p[:, ov] = s
+
+    t = s2 * w
+    t *= xs
+    t += s1
+    np.multiply(v, t, out=g_px[:, hw])
+    px_b = g_px[:, hb]
+    np.multiply(v, s2, out=px_b)
+    px_b *= w
+    g_px[:, ov] = s1w
+
+    t = s3 * ww
+    t *= xs
+    t += (2.0 * w) * s2
+    np.multiply(v, t, out=g_pxx[:, hw])
+    pxx_b = g_pxx[:, hb]
+    np.multiply(v, s3, out=pxx_b)
+    pxx_b *= ww
+    g_pxx[:, ov] = s2ww
 
     if output_activation == IDENTITY:
         return p, px, pxx, g_p, g_px, g_pxx
@@ -202,6 +245,7 @@ def param_grad(
         params.output_weights,
         params.output_bias,
         np.array([float(x)]),
+        grad_blocks(1, params.n_hidden),
         output_activation,
     )
     g = out[{"value": 3, "d1": 4, "d2": 5}[target]][0]

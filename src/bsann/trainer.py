@@ -30,7 +30,9 @@ from .network import (
     IDENTITY,
     NetworkParams,
     _check_activation,
+    _raw_eval,
     _raw_eval_grads,
+    grad_blocks,
     init_params,
 )
 from .problems import CollocationSet, ProblemSpec
@@ -106,7 +108,7 @@ class StepContext:
     """Everything constant over one step's training loop."""
 
     points: np.ndarray        # solver-coordinate abscissae, all r of them
-    pde_index: np.ndarray     # indices entering the residual sum
+    n_pde: int                # the residual sum runs over points[:n_pde]
     a_value: np.ndarray
     a_d1: np.ndarray
     a_d2: np.ndarray
@@ -184,7 +186,7 @@ def build_step_context(
 
     return StepContext(
         points=pts,
-        pde_index=pde_index,
+        n_pde=pde_index.size,
         a_value=a_value,
         a_d1=a_d1,
         a_d2=a_d2,
@@ -202,20 +204,51 @@ def _split_flat(flat: np.ndarray, n: int):
     return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
 
 
-def _context_cost_grad(ctx: StepContext, flat: np.ndarray, n: int):
+@dataclass(frozen=True)
+class _Workspace:
+    """Buffers that every epoch of one step overwrites in place."""
+
+    blocks: np.ndarray  # (3, r, 3n+1) network gradient blocks, see grad_blocks
+    coef: np.ndarray    # (3, n_pde, 3n+1) a_value, a_d1, a_d2 repeated along each row
+    jac: np.ndarray     # (n_pde, 3n+1) residual Jacobian
+    term: np.ndarray    # (n_pde, 3n+1) one term of jac before it is added
+
+
+def _workspace(ctx: StepContext, n: int) -> _Workspace:
+    # full-shape coefficients make the row scaling a same-shape product,
+    # which numpy runs as one flat loop rather than one loop per row
+    shape = (ctx.n_pde, 3 * n + 1)
+    coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], shape[1], axis=2)
+    return _Workspace(grad_blocks(ctx.points.size, n), coef, np.empty(shape), np.empty(shape))
+
+
+def _context_cost_grad(ctx: StepContext, flat: np.ndarray, n: int, ws: Optional[_Workspace]):
+    """Cost breakdown and its flat gradient; with ws None, the cost alone and grad None."""
     w, b, v, beta = _split_flat(flat, n)
-    val, d1, d2, g_val, g_d1, g_d2 = _raw_eval_grads(w, b, v, beta, ctx.points, ctx.output_activation)
-    idx = ctx.pde_index
-    resid = ctx.a_value * val[idx] + ctx.a_d1 * d1[idx] + ctx.a_d2 * d2[idx] + ctx.offset
-    jac = (
-        ctx.a_value[:, None] * g_val[idx]
-        + ctx.a_d1[:, None] * g_d1[idx]
-        + ctx.a_d2[:, None] * g_d2[idx]
-    )
-    grad = (resid @ jac) / ctx.r_norm
+    if ws is None:
+        val, d1, d2 = _raw_eval(w, b, v, beta, ctx.points, ctx.output_activation)
+    else:
+        val, d1, d2, g_val, g_d1, g_d2 = _raw_eval_grads(
+            w, b, v, beta, ctx.points, ws.blocks, ctx.output_activation
+        )
+    m = ctx.n_pde
+    resid = ctx.a_value * val[:m] + ctx.a_d1 * d1[:m] + ctx.a_d2 * d2[:m] + ctx.offset
     left_miss = float(val[ctx.left_index] - ctx.left_target)
     right_miss = float(val[ctx.right_index] - ctx.right_target)
-    grad = grad + 2.0 * left_miss * g_val[ctx.left_index] + 2.0 * right_miss * g_val[ctx.right_index]
+    grad = None
+    if ws is not None:
+        # jac = (a_value*g_val + a_d1*g_d1) + a_d2*g_d2 over the residual rows
+        jac, term = ws.jac, ws.term
+        np.multiply(ws.coef[0], g_val[:m], out=jac)
+        np.multiply(ws.coef[1], g_d1[:m], out=term)
+        jac += term
+        np.multiply(ws.coef[2], g_d2[:m], out=term)
+        jac += term
+        grad = (
+            (resid @ jac) / ctx.r_norm
+            + 2.0 * left_miss * g_val[ctx.left_index]
+            + 2.0 * right_miss * g_val[ctx.right_index]
+        )
     pde = float(resid @ resid) / (2.0 * ctx.r_norm)
     cost = CostBreakdown(
         pde_term=pde,
@@ -242,7 +275,7 @@ def step_cost(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    cost, _ = _context_cost_grad(ctx, params.to_flat(), params.n_hidden)
+    cost, _ = _context_cost_grad(ctx, params.to_flat(), params.n_hidden, None)
     return cost
 
 
@@ -262,8 +295,9 @@ def cost_gradient(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    _, grad = _context_cost_grad(ctx, params.to_flat(), params.n_hidden)
-    return NetworkParams.from_flat(grad, params.n_hidden)
+    n = params.n_hidden
+    _, grad = _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n))
+    return NetworkParams.from_flat(grad, n)
 
 
 def adam_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
@@ -341,9 +375,11 @@ def train_step_network(
     step_fn = _STEP_FNS[cfg.optimizer]
     flat = initial.to_flat()
     state = OptimizerState.zeros(flat.size)
+    ws = _workspace(ctx, n)
     breakdown = np.empty((epochs + 1, 4))
     for e in range(epochs + 1):
-        cost, grad = _context_cost_grad(ctx, flat, n)
+        # the last pass only records the cost, so it skips the Jacobian
+        cost, grad = _context_cost_grad(ctx, flat, n, ws if e < epochs else None)
         breakdown[e] = (cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total)
         if not np.isfinite(cost.total) or cost.total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(epoch=e, cost=cost.total, breakdown=breakdown[: e + 1].copy())
@@ -386,10 +422,12 @@ def probe_first_step(
     Each variant names the TrainConfig fields that differ from cfg. A
     diverging run is recorded with its breakdown up to the failing epoch;
     it is never raised. Runs are yielded one at a time so that a caller
-    which keeps only a summary frees each breakdown before the next run:
-    holding all of them shifts the heap addresses of the epoch temporaries,
-    which made later lr-search probes up to 1.5x slower on a 2-core
-    AVX-512 x86 host.
+    which keeps only a summary frees each breakdown before the next run.
+    The epoch loop keeps its Jacobians in one workspace per step, but its
+    (r, n) temporaries are still fresh each epoch, and holding every
+    breakdown shifts their heap addresses: it made `bsann lr-search` on
+    bench/workloads/lr_probe.cfg about 10% slower (2.1-2.4 s against
+    1.9-2.3 s) on a 2-core x86 host.
     """
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     initial = init_params(n_hidden, cfg.seed, init_scale)

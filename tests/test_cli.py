@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+import bsann
 from bsann.cli import main
 from bsann.solver import read_csv
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -248,6 +251,16 @@ def test_sweep_alpha_requires_config_keys(tmp_path, capsys):
     )
     assert main(["sweep-alpha", "--config", call]) == 2
     assert "problem.name" in capsys.readouterr().err
+    # the key checks run before the output directory is created
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
+def test_lr_search_missing_candidates_creates_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shipped = os.path.join(CONFIG_DIR, "example2_fractional.cfg")
+    assert main(["lr-search", "--config", shipped, "--out", "d"]) == 2
+    assert "lr.candidates" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_lr_search_reports_choice(tmp_path, capsys):
@@ -295,11 +308,18 @@ def test_selftest_passes(tmp_path, monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the same bsann package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(bsann.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from bsann.cli import main; sys.exit(main(['selftest']))"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout

@@ -24,6 +24,8 @@ from bsann.trainer import (
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
+    _context_cost_grad,
+    _workspace,
     adam_step,
     build_step_context,
     cost_gradient,
@@ -309,6 +311,57 @@ def test_train_step_epoch_budgets_and_trace():
     history.append(eval_batch(first.params, colloc.points)[0])
     second = train_step_network(first.params, problem, dmap, grid, colloc, history, 1, cfg)
     assert second.breakdown.shape == (26, 4)
+
+
+def _second_step(case):
+    """Problem, map, grid, collocation and two-row history for a small step 1."""
+    rng = np.random.default_rng(21)
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = make_arctan_map(10.0, 0.6) if case == "arctan" else truncated_map(15.0)
+    grid = make_time_grid(4, 1.0, 1.0)
+    colloc = build_collocation(dmap, 12)
+    history = StepHistory(problem.data(from_x(dmap, colloc.points)))
+    history.append(history.row(0) + rng.normal(scale=0.01, size=12))
+    activation = "sigmoid" if case == "sigmoid" else "identity"
+    return (problem, dmap, grid, colloc, history), activation
+
+
+@pytest.mark.parametrize("case", ["truncated", "arctan", "sigmoid"])
+def test_train_step_matches_fresh_per_epoch_calls(case):
+    # the loop reuses one workspace for every epoch and skips the Jacobian on
+    # the last pass; neither may change a bit of the trajectory
+    step, act = _second_step(case)
+    cfg = TrainConfig(eta=0.05, epochs_first=50, epochs_rest=50, seed=4)
+    initial = init_params(4, cfg.seed, 0.1)
+    got = train_step_network(initial, *step, 1, cfg, output_activation=act)
+    params, state, rows = initial, OptimizerState.zeros(initial.size), []
+    for e in range(cfg.epochs_rest + 1):
+        cost = step_cost(params, *step, 1, output_activation=act)
+        rows.append((cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total))
+        if e < cfg.epochs_rest:
+            grad = cost_gradient(params, *step, 1, output_activation=act)
+            state, flat = adam_step(state, params.to_flat(), grad.to_flat(), cfg)
+            params = NetworkParams.from_flat(flat, 4)
+    assert np.array_equal(got.breakdown, np.array(rows))
+    assert np.array_equal(got.params.to_flat(), params.to_flat())
+
+
+@pytest.mark.parametrize("case", ["arctan", "sigmoid"])
+def test_workspace_carries_no_state_between_calls(case):
+    step, act = _second_step(case)
+    ctx = build_step_context(*step, 1, output_activation=act)
+    n = 5
+    rng = np.random.default_rng(22)
+    flat_a, flat_b = rng.uniform(-1.0, 1.0, (2, 3 * n + 1))
+    ws = _workspace(ctx, n)
+    for flat in (flat_a, flat_b, flat_a):
+        cost, grad = _context_cost_grad(ctx, flat, n, ws)
+        cost_fresh, grad_fresh = _context_cost_grad(ctx, flat, n, _workspace(ctx, n))
+        assert cost == cost_fresh and np.array_equal(grad, grad_fresh)
+        cost_only, no_grad = _context_cost_grad(ctx, flat, n, None)
+        assert cost_only == cost and no_grad is None
+    # the output-bias column of the gradient blocks is never overwritten
+    assert np.all(ws.blocks[0, :, -1] == 1.0) and np.all(ws.blocks[1:, :, -1] == 0.0)
 
 
 def test_training_divergence_is_reported():
