@@ -32,10 +32,10 @@ from .config import (
     build_train_config,
     load_config,
 )
+from .csvio import write_csv
 from .plots import LineSeries, write_line_plot
 from .solver import (
     SolveResult,
-    _fmt,
     build_collocation,
     compare_optimizers,
     error_metrics,
@@ -52,11 +52,12 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _load(args, check: Optional[Callable[[RunConfig], None]] = None) -> RunConfig:
-    """Resolved config with the command-line overrides applied.
+def _load(args, check: Optional[Callable[[RunConfig], None]] = None):
+    """Resolved config with the command-line overrides applied, and its solver objects.
 
-    `check` raises ConfigError for keys the command itself needs; it runs
-    before the output directory is created, so a config error creates nothing.
+    Returns (cfg, problem, dmap, grid, train_cfg). `check` raises ConfigError
+    for keys the command itself needs. It and the builders run before the
+    output directory is created, so a config error creates nothing.
     """
     cfg = load_config(args.config)
     if args.out is not None:
@@ -69,11 +70,12 @@ def _load(args, check: Optional[Callable[[RunConfig], None]] = None) -> RunConfi
         cfg = replace(cfg, plots=False)
     if check is not None:
         check(cfg)
+    built = (cfg, build_problem(cfg), build_map(cfg), build_grid(cfg), build_train_config(cfg))
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("output.dir", f"cannot create {cfg.out_dir}: {exc}") from None
-    return cfg
+    return built
 
 
 def _solution_plots(out_dir: str, result: SolveResult) -> None:
@@ -113,11 +115,7 @@ def _solution_plots(out_dir: str, result: SolveResult) -> None:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args)
-    problem = build_problem(cfg)
-    dmap = build_map(cfg)
-    grid = build_grid(cfg)
-    tcfg = build_train_config(cfg)
+    cfg, problem, dmap, grid, tcfg = _load(args)
     try:
         result = solve(
             problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
@@ -141,28 +139,27 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
-    problem = build_problem(cfg)
-    dmap = build_map(cfg)
-    grid = build_grid(cfg)
-    tcfg = build_train_config(cfg)
+    cfg, problem, dmap, grid, tcfg = _load(args)
     comparison = compare_optimizers(
         problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
         cfg.compare_optimizers, cfg.theta, cfg.init_scale, cfg.output_activation,
     )
     series = []
-    with open(os.path.join(cfg.out_dir, "compare.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("optimizer,status,epochs_recorded,diverged_epoch,final_cost,seconds,seconds_per_epoch\n")
-        for name, run in comparison.runs.items():
-            write_cost_csv(os.path.join(cfg.out_dir, f"cost_{name}.csv"), run.breakdown)
-            status = "diverged" if run.diverged_epoch is not None else "completed"
-            div = "" if run.diverged_epoch is None else str(run.diverged_epoch)
-            fh.write(
-                f"{name},{status},{run.breakdown.shape[0] - 1},{div},"
-                f"{_fmt(run.trace[-1])},{_fmt(run.seconds)},{_fmt(run.seconds_per_epoch)}\n"
-            )
-            series.append(LineSeries(np.arange(run.trace.size), run.trace, f"{name} ({status})"))
-            print(f"{name}: {status}, final cost {run.trace[-1]:.6e}")
+    rows = []
+    for name, run in comparison.runs.items():
+        write_cost_csv(os.path.join(cfg.out_dir, f"cost_{name}.csv"), run.breakdown)
+        status = "diverged" if run.diverged_epoch is not None else "completed"
+        div = "" if run.diverged_epoch is None else run.diverged_epoch
+        epochs = run.breakdown.shape[0] - 1
+        rows.append((name, status, epochs, div, run.trace[-1], run.seconds, run.seconds_per_epoch))
+        series.append(LineSeries(np.arange(run.trace.size), run.trace, f"{name} ({status})"))
+        print(f"{name}: {status}, final cost {run.trace[-1]:.6e}")
+    write_csv(
+        os.path.join(cfg.out_dir, "compare.csv"),
+        ("optimizer", "status", "epochs_recorded", "diverged_epoch",
+         "final_cost", "seconds", "seconds_per_epoch"),
+        rows,
+    )
     if cfg.plots:
         write_line_plot(
             os.path.join(cfg.out_dir, "compare.svg"), series,
@@ -183,29 +180,25 @@ def _check_sweep_alpha(cfg: RunConfig) -> None:
 
 
 def cmd_sweep_alpha(args) -> int:
-    cfg = _load(args, _check_sweep_alpha)
-    dmap = build_map(cfg)
-    tcfg = build_train_config(cfg)
-
-    def family(alpha: float):
-        return build_problem(cfg, alpha=alpha)
-
+    cfg, _, dmap, _, tcfg = _load(args, _check_sweep_alpha)
     result = sweep_alpha(
-        family, cfg.sweep_alphas, dmap, cfg.n_steps, cfg.n_hidden, cfg.n_points,
-        tcfg, cfg.init_scale, cfg.output_activation,
+        lambda alpha: build_problem(cfg, alpha=alpha), cfg.sweep_alphas, dmap, cfg.n_steps,
+        cfg.n_hidden, cfg.n_points, tcfg, cfg.init_scale, cfg.output_activation,
     )
     ok_entries = [e for e in result.entries if e.final_row is not None]
-    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("S," + ",".join(f"alpha_{e.alpha:g}" for e in ok_entries) + "\n")
-        for j in range(result.s_points.size):
-            cells = [_fmt(result.s_points[j])] + [_fmt(e.final_row[j]) for e in ok_entries]
-            fh.write(",".join(cells) + "\n")
-    with open(os.path.join(cfg.out_dir, "sweep_status.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,status,max_abs_error\n")
-        for e in result.entries:
-            status = e.failure if e.failure else "completed"
-            err = "" if e.max_abs_error is None else _fmt(e.max_abs_error)
-            fh.write(f"{_fmt(e.alpha)},{status},{err}\n")
+    write_csv(
+        os.path.join(cfg.out_dir, "sweep.csv"),
+        ["S"] + [f"alpha_{e.alpha:g}" for e in ok_entries],
+        np.column_stack([result.s_points] + [e.final_row for e in ok_entries]).tolist(),
+    )
+    write_csv(
+        os.path.join(cfg.out_dir, "sweep_status.csv"),
+        ("alpha", "status", "max_abs_error"),
+        [
+            (e.alpha, e.failure or "completed", "" if e.max_abs_error is None else e.max_abs_error)
+            for e in result.entries
+        ],
+    )
     for e in result.entries:
         note = e.failure if e.failure else f"max abs error {e.max_abs_error:.6e}"
         print(f"alpha={e.alpha:g}: {note}")
@@ -229,11 +222,7 @@ def _check_lr_search(cfg: RunConfig) -> None:
 
 
 def cmd_lr_search(args) -> int:
-    cfg = _load(args, _check_lr_search)
-    problem = build_problem(cfg)
-    dmap = build_map(cfg)
-    grid = build_grid(cfg)
-    tcfg = build_train_config(cfg)
+    cfg, problem, dmap, grid, tcfg = _load(args, _check_lr_search)
     colloc = build_collocation(dmap, cfg.n_points)
     try:
         search = lr_grid_search(
@@ -243,12 +232,15 @@ def cmd_lr_search(args) -> int:
     except LrSearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    with open(os.path.join(cfg.out_dir, "lr_search.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("eta,status,final_cost,diverged_epoch\n")
-        for outcome in search.outcomes:
-            status = "diverged" if outcome.diverged_epoch is not None else "completed"
-            div = "" if outcome.diverged_epoch is None else str(outcome.diverged_epoch)
-            fh.write(f"{_fmt(outcome.eta)},{status},{_fmt(outcome.final_cost)},{div}\n")
+    write_csv(
+        os.path.join(cfg.out_dir, "lr_search.csv"),
+        ("eta", "status", "final_cost", "diverged_epoch"),
+        [
+            (o.eta, "completed", o.final_cost, "") if o.diverged_epoch is None
+            else (o.eta, "diverged", o.final_cost, o.diverged_epoch)
+            for o in search.outcomes
+        ],
+    )
     if cfg.plots:
         done = [o for o in search.outcomes if o.diverged_epoch is None]
         if done:

@@ -12,7 +12,7 @@ linear parabolic problems fit without code changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -160,7 +160,6 @@ class RunConfig:
     sweep_alphas: Optional[Tuple[float, ...]]
     lr_candidates: Optional[Tuple[float, ...]]
     lr_probe_epochs: int
-    raw: Dict[str, str] = field(default_factory=dict, repr=False)
 
 
 def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
@@ -185,6 +184,8 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
             raise ConfigError("problem.sigma", f"must be positive, got {sigma}")
         if strike is None or not strike > 0.0:
             raise ConfigError("problem.strike", f"must be positive, got {strike}")
+        if rate < 0.0:
+            raise ConfigError("problem.rate", f"must be non-negative for {name}, got {rate}")
 
     custom: Dict[str, str] = {}
     if name == "custom":
@@ -248,8 +249,12 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     n_points = _as_int(raw, "points.count")
     if n_points is None or n_points < 2:
         raise ConfigError("points.count", f"must be an integer >= 2, got {raw.get('points.count')!r}")
-    if map_kind == ARCTAN and n_points < 3:
-        raise ConfigError("points.count", "arctan grids need at least 3 points")
+    if map_kind == ARCTAN:
+        if n_points < 3:
+            raise ConfigError("points.count", "arctan grids need at least 3 points")
+        if (n_points - 2) / (n_points - 1) >= DomainMap.right_eval_point:
+            raise ConfigError("points.count", f"with {n_points} points the last interior "
+                              f"abscissa reaches the x = 1 surrogate {DomainMap.right_eval_point}")
 
     n_hidden = _as_int(raw, "network.n_hidden")
     if n_hidden is None or n_hidden < 1:
@@ -289,6 +294,8 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     for piece in compare:
         if piece not in OPTIMIZERS:
             raise ConfigError("compare.optimizers", f"unknown optimizer {piece!r}")
+    if len(set(compare)) != len(compare):
+        raise ConfigError("compare.optimizers", f"duplicate optimizer in {compare_raw!r}")
 
     sweep_alphas = _as_floats(raw, "sweep.alphas")
     if sweep_alphas is not None:
@@ -334,7 +341,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
         sweep_alphas=sweep_alphas,
         lr_candidates=lr_candidates,
         lr_probe_epochs=lr_probe_epochs,
-        raw=dict(raw),
     )
 
 

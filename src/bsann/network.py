@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_csv, write_csv
+
 IDENTITY = "identity"
 SIGMOID = "sigmoid"
 _ACTIVATIONS = (IDENTITY, SIGMOID)
@@ -65,12 +67,17 @@ class NetworkParams:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (3 * n_hidden + 1,):
             raise ValueError(f"flat vector must have length {3 * n_hidden + 1}, got {flat.shape}")
-        return cls(
-            hidden_weights=flat[:n_hidden].copy(),
-            hidden_biases=flat[n_hidden : 2 * n_hidden].copy(),
-            output_weights=flat[2 * n_hidden : 3 * n_hidden].copy(),
-            output_bias=float(flat[-1]),
-        )
+        w, b, v, beta = _split_flat(flat, n_hidden)
+        return cls(w.copy(), b.copy(), v.copy(), float(beta))
+
+
+def _split_flat(flat: np.ndarray, n: int):
+    """Views of the three weight groups and the output bias of a flat vector."""
+    return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
+
+
+def _parts(params: NetworkParams):
+    return params.hidden_weights, params.hidden_biases, params.output_weights, params.output_bias
 
 
 @dataclass(frozen=True)
@@ -100,21 +107,49 @@ def _sigmoid_arr(z: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0, ez) / (1.0 + ez)
 
 
-def _raw_eval(w, b, v, beta, x, output_activation=IDENTITY):
-    """value/d1/d2 arrays at a vector of inputs. Internal, array-based."""
-    z = np.outer(x, w) + b
+def _hidden_pass(w, b, v, beta, x):
+    """(s, s1, s2, ww, s1w, s2ww, p, px, pxx) at a vector of inputs: the hidden
+    sigmoids and their first two derivatives, w*w, s1*w, s2*w*w, and the
+    pre-activation head P with its first two input derivatives."""
+    z = np.outer(x, w)
+    z += b
     s = _sigmoid_arr(z)
     s1 = s * (1.0 - s)
     s2 = s1 * (1.0 - 2.0 * s)
-    p = s @ v + beta
-    px = (s1 * w) @ v
-    pxx = (s2 * (w * w)) @ v
-    if output_activation == IDENTITY:
-        return p, px, pxx
+    ww = w * w
+    s1w = s1 * w
+    s2ww = s2 * ww
+    return s, s1, s2, ww, s1w, s2ww, s @ v + beta, s1w @ v, s2ww @ v
+
+
+def _sigmoid_head(p, px, pxx, grads=None):
+    """Chain rule of the sigmoid head q = sigmoid(P): value, d1 and d2, followed by
+    their parameter gradients when grads holds those of (P, P_x, P_xx)."""
     q = _sigmoid_arr(p)
     q1 = q * (1.0 - q)
     q2 = q1 * (1.0 - 2.0 * q)
-    return q, q1 * px, q2 * px * px + q1 * pxx
+    out = (q, q1 * px, q2 * px * px + q1 * pxx)
+    if grads is None:
+        return out
+    g_p, g_px, g_pxx = grads
+    q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
+    qc = q1[:, None]
+    g_value = qc * g_p
+    g_d1 = q2[:, None] * g_p * px[:, None] + qc * g_px
+    g_d2 = (
+        q3[:, None] * g_p * (px * px)[:, None]
+        + q2[:, None] * (2.0 * px[:, None] * g_px + pxx[:, None] * g_p)
+        + qc * g_pxx
+    )
+    return out + (g_value, g_d1, g_d2)
+
+
+def _raw_eval(w, b, v, beta, x, output_activation=IDENTITY):
+    """value/d1/d2 arrays at a vector of inputs. Internal, array-based."""
+    p, px, pxx = _hidden_pass(w, b, v, beta, x)[-3:]
+    if output_activation == IDENTITY:
+        return p, px, pxx
+    return _sigmoid_head(p, px, pxx)
 
 
 def grad_blocks(r: int, n: int) -> np.ndarray:
@@ -139,21 +174,10 @@ def _raw_eval_grads(w, b, v, beta, x, blocks, output_activation=IDENTITY):
     head returns new arrays computed from them.
     """
     n = w.size
-    z = np.outer(x, w)
-    z += b
-    s = _sigmoid_arr(z)
-    s1 = s * (1.0 - s)
-    s2 = s1 * (1.0 - 2.0 * s)
+    s, s1, s2, ww, s1w, s2ww, p, px, pxx = _hidden_pass(w, b, v, beta, x)
     s6 = 6.0 * s
     s3 = s1 * (1.0 - s6 + s6 * s)
-    ww = w * w
     xs = x[:, None]
-    s1w = s1 * w
-    s2ww = s2 * ww
-
-    p = s @ v + beta
-    px = s1w @ v
-    pxx = s2ww @ v
 
     # gradients of the pre-activation head P and its input derivatives by
     # parameter group (hidden weights, hidden biases, output weights, output
@@ -190,37 +214,14 @@ def _raw_eval_grads(w, b, v, beta, x, blocks, output_activation=IDENTITY):
 
     if output_activation == IDENTITY:
         return p, px, pxx, g_p, g_px, g_pxx
-
-    q = _sigmoid_arr(p)
-    q1 = q * (1.0 - q)
-    q2 = q1 * (1.0 - 2.0 * q)
-    q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
-    value = q
-    d1 = q1 * px
-    d2 = q2 * px * px + q1 * pxx
-    qc = q1[:, None]
-    g_value = qc * g_p
-    g_d1 = q2[:, None] * g_p * px[:, None] + qc * g_px
-    g_d2 = (
-        q3[:, None] * g_p * (px * px)[:, None]
-        + q2[:, None] * (2.0 * px[:, None] * g_px + pxx[:, None] * g_p)
-        + qc * g_pxx
-    )
-    return value, d1, d2, g_value, g_d1, g_d2
+    return _sigmoid_head(p, px, pxx, (g_p, g_px, g_pxx))
 
 
 def eval_batch(params: NetworkParams, x: np.ndarray, output_activation: str = IDENTITY):
     """Vectorized (value, d1, d2) arrays over a vector of inputs."""
     _check_activation(output_activation)
     x = np.asarray(x, dtype=float)
-    return _raw_eval(
-        params.hidden_weights,
-        params.hidden_biases,
-        params.output_weights,
-        params.output_bias,
-        x,
-        output_activation,
-    )
+    return _raw_eval(*_parts(params), x, output_activation)
 
 
 def forward(params: NetworkParams, x: float, output_activation: str = IDENTITY) -> NetEval:
@@ -239,15 +240,8 @@ def param_grad(
     _check_activation(output_activation)
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
-    out = _raw_eval_grads(
-        params.hidden_weights,
-        params.hidden_biases,
-        params.output_weights,
-        params.output_bias,
-        np.array([float(x)]),
-        grad_blocks(1, params.n_hidden),
-        output_activation,
-    )
+    blocks = grad_blocks(1, params.n_hidden)
+    out = _raw_eval_grads(*_parts(params), np.array([float(x)]), blocks, output_activation)
     g = out[{"value": 3, "d1": 4, "d2": 5}[target]][0]
     return NetworkParams.from_flat(g, params.n_hidden)
 
@@ -261,28 +255,15 @@ def save_params_csv(params: NetworkParams, path) -> None:
         + [f"output_weights[{i}]" for i in range(n)]
         + ["output_bias"]
     )
-    flat = params.to_flat()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("name,value\n")
-        for name, val in zip(names, flat):
-            fh.write(f"{name},{float(val)!r}\n")
+    write_csv(path, ("name", "value"), zip(names, params.to_flat().tolist()))
 
 
 def load_params_csv(path) -> NetworkParams:
     """Inverse of save_params_csv; round-trips bit-exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "name,value":
-            raise ValueError(f"unexpected parameter CSV header: {header!r}")
-        names, values = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            name, val = line.split(",")
-            names.append(name)
-            values.append(float(val))
-    if not names or names[-1] != "output_bias" or (len(names) - 1) % 3 != 0:
+    header, rows = read_csv(path)
+    if header != ("name", "value"):
+        raise ValueError(f"unexpected parameter CSV header: {','.join(header)!r}")
+    if not rows or rows[-1][0] != "output_bias" or (len(rows) - 1) % 3 != 0:
         raise ValueError("parameter CSV does not match the flat layout")
-    n = (len(names) - 1) // 3
-    return NetworkParams.from_flat(np.array(values), n)
+    values = np.array([float(val) for _, val in rows])
+    return NetworkParams.from_flat(values, (len(rows) - 1) // 3)

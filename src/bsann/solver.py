@@ -20,6 +20,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .csvio import read_csv, read_numeric_csv, write_csv  # noqa: F401  (readers re-exported)
 from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
 from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
@@ -160,17 +161,8 @@ def solve(
         t0 = time.perf_counter()
         try:
             res = train_step_network(
-                params,
-                problem,
-                dmap,
-                grid,
-                colloc,
-                history,
-                k - 1,
-                cfg,
-                theta,
-                rhs_old,
-                output_activation,
+                params, problem, dmap, grid, colloc, history, k - 1, cfg,
+                theta, rhs_old, output_activation,
             )
         except TrainingDiverged as exc:
             err = TrainingDiverged(
@@ -308,7 +300,7 @@ def sweep_alpha(
                     alpha=float(alpha),
                     final_row=None,
                     max_abs_error=None,
-                    failure=f"diverged at step {exc.step_index}, epoch {exc.epoch}",
+                    failure=f"diverged in step {exc.step_index} at epoch {exc.epoch}",
                 )
             )
     if s_pts is None:
@@ -316,50 +308,37 @@ def sweep_alpha(
     return SweepResult(s_points=s_pts, entries=tuple(entries))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_surface_csv(path, result: SolveResult) -> None:
     """Rows (t, S, U) over every stored step; t is calendar time."""
-    times = result.natural_times
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,S,U\n")
-        for k in range(result.surface.shape[0]):
-            tk = times[k]
-            for j in range(result.s_points.size):
-                fh.write(f"{_fmt(tk)},{_fmt(result.s_points[j])},{_fmt(result.surface[k, j])}\n")
+    s_points = result.s_points.tolist()
+    write_csv(path, ("t", "S", "U"), (
+        (t, s, u)
+        for t, row in zip(result.natural_times.tolist(), result.surface)
+        for s, u in zip(s_points, row.tolist())
+    ))
 
 
 def write_errors_csv(path, result: SolveResult) -> None:
     """Rows (S, abs_err, log10_abs_err) at the reporting time."""
     summary = error_metrics(result, exclude_surrogate=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("S,abs_err,log10_abs_err\n")
-        for j in range(result.s_points.size):
-            fh.write(
-                f"{_fmt(result.s_points[j])},{_fmt(summary.abs_errors[j])},"
-                f"{_fmt(summary.log10_abs[j])}\n"
-            )
+    columns = (result.s_points, summary.abs_errors, summary.log10_abs)
+    write_csv(path, ("S", "abs_err", "log10_abs_err"), np.column_stack(columns).tolist())
 
 
 def write_cost_csv(path, breakdown: np.ndarray) -> None:
     """Rows (epoch, pde_term, left_bc_term, right_bc_term, total)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,pde_term,left_bc_term,right_bc_term,total\n")
-        for e in range(breakdown.shape[0]):
-            row = breakdown[e]
-            fh.write(
-                f"{e},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])},{_fmt(row[3])}\n"
-            )
+    write_csv(
+        path, ("epoch", "pde_term", "left_bc_term", "right_bc_term", "total"),
+        ((e, *row.tolist()) for e, row in enumerate(breakdown)),
+    )
 
 
 def write_timing_csv(path, result: SolveResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,seconds,epochs,seconds_per_epoch\n")
-        for i, sec in enumerate(result.wall_times):
-            epochs = result.breakdowns[i].shape[0] - 1
-            fh.write(f"{i + 1},{_fmt(sec)},{epochs},{_fmt(sec / max(1, epochs))}\n")
+    epochs = [b.shape[0] - 1 for b in result.breakdowns]
+    write_csv(path, ("step", "seconds", "epochs", "seconds_per_epoch"), (
+        (i + 1, sec, e, sec / max(1, e))
+        for i, (sec, e) in enumerate(zip(result.wall_times.tolist(), epochs))
+    ))
 
 
 def write_solution_outputs(out_dir, result: SolveResult) -> None:
@@ -375,25 +354,3 @@ def write_solution_outputs(out_dir, result: SolveResult) -> None:
     for i, params in enumerate(result.params_per_step):
         save_params_csv(params, os.path.join(out_dir, f"params_step_{i + 1}.csv"))
     write_timing_csv(os.path.join(out_dir, "timing.csv"), result)
-
-
-def read_csv(path) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, ...], ...]]:
-    """Header and string rows of any CSV this package writes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path} is empty")
-    header = tuple(lines[0].split(","))
-    rows = []
-    for ln in lines[1:]:
-        cells = tuple(ln.split(","))
-        if len(cells) != len(header):
-            raise ValueError(f"{path}: row width {len(cells)} != header width {len(header)}")
-        rows.append(cells)
-    return header, tuple(rows)
-
-
-def read_numeric_csv(path) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """Header and float matrix for the all-numeric CSV formats."""
-    header, rows = read_csv(path)
-    return header, np.array([[float(c) for c in row] for row in rows], dtype=float)

@@ -32,6 +32,7 @@ from .network import (
     _check_activation,
     _raw_eval,
     _raw_eval_grads,
+    _split_flat,
     grad_blocks,
     init_params,
 )
@@ -198,10 +199,6 @@ def build_step_context(
         right_target=float(problem.right_bc(float(s_pts[right_index]), t_next)),
         output_activation=output_activation,
     )
-
-
-def _split_flat(flat: np.ndarray, n: int):
-    return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
 
 
 @dataclass(frozen=True)

@@ -173,6 +173,27 @@ def test_unusable_custom_functions_exit_2(tmp_path, capsys, key, text):
     assert f"{key} = {text}" in cfg_text
     assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--no-plots"]) == 2
     assert f"config error: {key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,cfg_text,key",
+    [
+        ("solve", divergent_cfg("{out}", "problem.rate = -0.01\n"), "problem.rate"),
+        ("solve", divergent_cfg("{out}").replace("map.kind = truncated", "map.kind = arctan")
+         .replace("map.s_max = 15\n", "").replace("points.count = 150", "points.count = 10000002"),
+         "points.count"),
+        ("compare", constant_cfg("{out}", "compare.optimizers = adam,adam,sgd\n"),
+         "compare.optimizers"),
+    ],
+    ids=["negative-option-rate", "arctan-points-reach-surrogate", "duplicate-optimizer"],
+)
+def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, command, cfg_text, key):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, cfg_text.replace("{out}", str(out)))
+    assert main([command, "--config", cfg, "--no-plots"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_divergence_exits_3_with_partial_outputs(tmp_path, capsys):
@@ -240,6 +261,20 @@ def test_sweep_alpha_outputs(tmp_path, capsys):
     assert header == ("alpha", "status", "max_abs_error")
     assert all(r[1] == "completed" for r in rows)
     assert (out / "sweep.svg").exists()
+
+
+def test_sweep_alpha_diverged_status_is_readable(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    hot = "training.optimizer = sgd\ntraining.eta = 0.9\nsweep.alphas = 0.4\n"
+    cfg = write_cfg(tmp_path, fractional_cfg(out, hot))
+    assert main(["sweep-alpha", "--config", cfg, "--no-plots"]) == 3
+    assert "at least one alpha diverged" in capsys.readouterr().err
+    header, rows = read_csv(out / "sweep_status.csv")
+    assert header == ("alpha", "status", "max_abs_error")
+    assert rows[0][0] == "0.4" and rows[0][1].startswith("diverged in step 0")
+    assert rows[0][2] == ""
+    header, rows = read_csv(out / "sweep.csv")
+    assert header == ("S",) and len(rows) == 12
 
 
 def test_sweep_alpha_requires_config_keys(tmp_path, capsys):

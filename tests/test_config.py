@@ -132,6 +132,8 @@ def test_fractional_defaults_differ():
         ({"training.eta": "fast"}, "training.eta"),
         ({"map.s_max": "inf"}, "map.s_max"),
         ({"problem.rate": "nan"}, "problem.rate"),
+        ({"problem.rate": "-0.01"}, "problem.rate"),
+        ({"compare.optimizers": "adam,adam,sgd"}, "compare.optimizers"),
     ],
 )
 def test_rejections_name_the_field(overrides, bad_field):
@@ -173,6 +175,11 @@ def test_arctan_constraints():
     with pytest.raises(ConfigError) as info:
         config_from_mapping({**base, "map.right_eval_point": "0.8"})
     assert info.value.field == "map.right_eval_point"
+    # the last interior abscissa (n-2)/(n-1) must stay below the x = 1 surrogate
+    assert config_from_mapping({**base, "points.count": "10000000"}).n_points == 10_000_000
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping({**base, "points.count": "10000002"})
+    assert info.value.field == "points.count"
     with pytest.raises(ConfigError) as info:
         config_from_mapping({**base, "points.count": "2"})
     assert info.value.field == "points.count"
