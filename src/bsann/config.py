@@ -30,9 +30,15 @@ from .problems import (
 )
 from .solver import build_collocation
 from .stepper import SpatialOperator, TimeGrid, make_time_grid
-from .trainer import OPTIMIZERS, TrainConfig
+from .trainer import OPTIMIZERS, TrainConfig, workspace_nbytes
 
 PROBLEM_NAMES = ("european_call", "european_put", "fractional_manufactured", "custom")
+
+# no single buffer that a run sizes from its config may pass this many bytes:
+# a step's training workspace, a step's cost breakdown, or a solve's surface
+# and kept breakdowns. A size key past it is a config error, found before
+# anything is allocated.
+MAX_BUFFER_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -312,6 +318,8 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     if lr_probe_epochs < 1:
         raise ConfigError("lr.probe_epochs", f"must be >= 1, got {lr_probe_epochs}")
 
+    _check_sizes(n_points, n_hidden, n_steps, epochs_first, epochs_rest, lr_probe_epochs)
+
     return RunConfig(
         problem_name=name,
         rate=rate,
@@ -342,6 +350,28 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
         lr_candidates=lr_candidates,
         lr_probe_epochs=lr_probe_epochs,
     )
+
+
+def _check_sizes(n_points, n_hidden, n_steps, epochs_first, epochs_rest, lr_probe_epochs) -> None:
+    """Name the size key whose buffer would pass MAX_BUFFER_BYTES."""
+    limit = MAX_BUFFER_BYTES
+    if workspace_nbytes(n_points, 1) > limit:
+        raise ConfigError("points.count", f"{n_points} points need a training workspace "
+                          f"of more than {limit} bytes")
+    if workspace_nbytes(n_points, n_hidden) > limit:
+        raise ConfigError("network.n_hidden", f"{n_hidden} hidden units on {n_points} points "
+                          f"need a training workspace of more than {limit} bytes")
+    # a breakdown holds 4 doubles per epoch, plus the starting cost
+    for key, epochs in (("training.epochs_first", epochs_first),
+                        ("training.epochs_rest", epochs_rest),
+                        ("lr.probe_epochs", lr_probe_epochs)):
+        if 32 * (epochs + 1) > limit:
+            raise ConfigError(key, f"the cost breakdown of {epochs} epochs passes {limit} bytes")
+    # a solve keeps the solution surface and every step's breakdown
+    kept = 8 * (n_steps + 1) * n_points + 32 * (epochs_first + 1 + (n_steps - 1) * (epochs_rest + 1))
+    if kept > limit:
+        raise ConfigError("grid.n_steps", f"{n_steps} steps keep more than {limit} bytes "
+                          "of solution surface and cost breakdowns")
 
 
 def load_config(path: str) -> RunConfig:

@@ -5,6 +5,11 @@ scalar input. Both derivatives with respect to the input and gradients of
 (value, d1, d2) with respect to every parameter are exact closed forms; the
 trainer never uses finite differences of the candidate network.
 
+A pass writes into caller-owned PassBuffers, so a training loop that keeps
+one set per step allocates no (r, n) array per epoch with the identity head;
+eval_batch and param_grad make fresh ones. Parameter gradients come one group
+at a time (_group_grads), each a contiguous (r, n) array.
+
 Flat parameter layout (fixed order, length 3n+1):
     hidden_weights[0:n], hidden_biases[n:2n], output_weights[2n:3n], output_bias
 """
@@ -100,128 +105,164 @@ def init_params(n_hidden: int, seed: int, scale: float = 0.01) -> NetworkParams:
     return NetworkParams.from_flat(flat, n_hidden)
 
 
+def _sigmoid_into(z, out, ez, pos):
+    """Write sigmoid(z) into out; ez and pos are float scratch of z's shape."""
+    # exp is only ever taken of a non-positive argument, so no overflow.
+    # maximum(ez, z >= 0) is where(z >= 0, 1, ez) exactly, since 0 <= ez <= 1
+    np.greater_equal(z, 0.0, out=pos)
+    np.abs(z, out=ez)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    np.maximum(ez, pos, out=out)
+    ez += 1.0
+    out /= ez
+    return out
+
+
 def _sigmoid_arr(z: np.ndarray) -> np.ndarray:
-    # exp is only ever taken of a non-positive argument, so no overflow
-    pos = z >= 0
-    ez = np.exp(np.where(pos, -z, z))
-    return np.where(pos, 1.0, ez) / (1.0 + ez)
+    return _sigmoid_into(z, *np.empty((3,) + z.shape))
 
 
-def _hidden_pass(w, b, v, beta, x):
-    """(s, s1, s2, ww, s1w, s2ww, p, px, pxx) at a vector of inputs: the hidden
-    sigmoids and their first two derivatives, w*w, s1*w, s2*w*w, and the
-    pre-activation head P with its first two input derivatives."""
-    z = np.outer(x, w)
+# (r, n) planes of a pass, and those added when it takes parameter gradients
+_PLANES = ("x", "w", "ww", "z", "ez", "pos", "s", "s1", "s2", "s1w", "s2ww")
+_GRAD_PLANES = ("v", "vs1", "s3", "g0", "g1", "g2")
+
+
+class PassBuffers:
+    """Caller-owned arrays that network passes at one fixed input vector overwrite.
+
+    Every (r, n) operand is a full same-shape array: the inputs repeated along
+    each row once, and w, v and w*w copied along each column once per pass.
+    numpy runs a same-shape product as one flat loop, several times faster at
+    these sizes than the same product broadcast from an (n,) vector. With
+    grads the buffers also hold the parameter-gradient products that
+    _group_grads emits one group at a time.
+    """
+
+    def __init__(self, x: np.ndarray, n: int, grads: bool = False):
+        x = np.asarray(x, dtype=float).ravel()
+        r = x.size
+        names = _PLANES + _GRAD_PLANES if grads else _PLANES
+        for name, plane in zip(names, np.empty((len(names), r, n))):
+            setattr(self, name, plane)
+        self.x[:] = x[:, None]
+        self.p, self.px, self.pxx = np.empty((3, r))
+        # g_p, g_px and g_pxx of the output bias
+        self.one, self.zero = np.ones((r, 1)), np.zeros((r, 1))
+
+    @staticmethod
+    def nbytes(r: int, n: int, grads: bool = False) -> int:
+        """Bytes that PassBuffers(x, n, grads) allocates for r inputs."""
+        planes = len(_PLANES) + (len(_GRAD_PLANES) if grads else 0)
+        return 8 * planes * r * n + 40 * r
+
+
+def _hidden_pass(w, b, v, beta, h: PassBuffers, grads: bool = False):
+    """Fill h for one parameter set: the hidden sigmoids s with their input
+    derivatives s1 and s2, the products s1*w and s2*w*w, and the pre-activation
+    head P with its first two input derivatives in h.p, h.px and h.pxx. With
+    grads also v, v*s1 and the third derivative s3, which the parameter-gradient
+    products share."""
+    np.copyto(h.w, w)
+    np.multiply(h.w, h.w, out=h.ww)
+    z = np.multiply(h.x, h.w, out=h.z)
     z += b
-    s = _sigmoid_arr(z)
-    s1 = s * (1.0 - s)
-    s2 = s1 * (1.0 - 2.0 * s)
-    ww = w * w
-    s1w = s1 * w
-    s2ww = s2 * ww
-    return s, s1, s2, ww, s1w, s2ww, s @ v + beta, s1w @ v, s2ww @ v
+    _sigmoid_into(z, h.s, h.ez, h.pos)
+    t, u = h.z, h.ez  # free from here on
+    # s1 = s*(1 - s), s2 = s1*(1 - 2s)
+    np.subtract(1.0, h.s, out=t)
+    np.multiply(h.s, t, out=h.s1)
+    np.multiply(h.s, 2.0, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(h.s1, t, out=h.s2)
+    np.multiply(h.s1, h.w, out=h.s1w)
+    np.multiply(h.s2, h.ww, out=h.s2ww)
+    np.matmul(h.s, v, out=h.p)
+    h.p += beta
+    np.matmul(h.s1w, v, out=h.px)
+    np.matmul(h.s2ww, v, out=h.pxx)
+    if grads:
+        np.copyto(h.v, v)
+        np.multiply(h.v, h.s1, out=h.vs1)
+        # s3 = s1*((1 - 6s) + 6s*s)
+        np.multiply(h.s, 6.0, out=t)
+        np.subtract(1.0, t, out=u)
+        t *= h.s
+        u += t
+        np.multiply(h.s1, u, out=h.s3)
 
 
-def _sigmoid_head(p, px, pxx, grads=None):
-    """Chain rule of the sigmoid head q = sigmoid(P): value, d1 and d2, followed by
-    their parameter gradients when grads holds those of (P, P_x, P_xx)."""
+def _forward(w, b, v, beta, h: PassBuffers, output_activation=IDENTITY, grads: bool = False):
+    """value, d1 and d2 at h's inputs. With the sigmoid head q = sigmoid(P), the
+    columns that its parameter-gradient chain rule needs are kept in h.head."""
+    _hidden_pass(w, b, v, beta, h, grads)
+    p, px, pxx = h.p, h.px, h.pxx
+    if output_activation == IDENTITY:
+        return p, px, pxx
     q = _sigmoid_arr(p)
     q1 = q * (1.0 - q)
     q2 = q1 * (1.0 - 2.0 * q)
-    out = (q, q1 * px, q2 * px * px + q1 * pxx)
-    if grads is None:
-        return out
-    g_p, g_px, g_pxx = grads
-    q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
-    qc = q1[:, None]
-    g_value = qc * g_p
-    g_d1 = q2[:, None] * g_p * px[:, None] + qc * g_px
-    g_d2 = (
-        q3[:, None] * g_p * (px * px)[:, None]
-        + q2[:, None] * (2.0 * px[:, None] * g_px + pxx[:, None] * g_p)
-        + qc * g_pxx
+    if grads:
+        q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
+        h.head = tuple(col[:, None] for col in (q1, q2, q3, px, pxx))
+    return q, q1 * px, q2 * px * px + q1 * pxx
+
+
+def _group_grads(h: PassBuffers, group: int, output_activation=IDENTITY):
+    """Parameter gradients (g_value, g_d1, g_d2) of one group at h's inputs,
+    after _forward with grads: group 0 the hidden weights, 1 the hidden biases,
+    2 the output weights, each (r, n), and 3 the output bias, (r, 1).
+
+    With the identity head the arrays are views into h, overwritten by the
+    next group; the sigmoid head's chain rule returns new ones. The in-place
+    sequences evaluate exactly these products of P, P_x and P_xx, left to
+    right: regrouping one changes its last bits, and training amplifies those
+    into visibly different solutions.
+      g_p   = [v*s1*x,                  v*s1,     s,      1]
+      g_px  = [v*((s2*w)*x + s1),       v*s2*w,   s1*w,   0]
+      g_pxx = [v*((s3*ww)*x + 2w*s2),   v*s3*ww,  s2*ww,  0]
+    """
+    t, u = h.z, h.ez
+    if group == 0:
+        np.multiply(h.vs1, h.x, out=h.g0)
+        np.multiply(h.s2, h.w, out=t)
+        t *= h.x
+        t += h.s1
+        np.multiply(h.v, t, out=h.g1)
+        np.multiply(h.s3, h.ww, out=t)
+        t *= h.x
+        np.multiply(h.w, 2.0, out=u)
+        u *= h.s2
+        t += u
+        np.multiply(h.v, t, out=h.g2)
+        g = (h.g0, h.g1, h.g2)
+    elif group == 1:
+        np.multiply(h.v, h.s2, out=h.g1)
+        h.g1 *= h.w
+        np.multiply(h.v, h.s3, out=h.g2)
+        h.g2 *= h.ww
+        g = (h.vs1, h.g1, h.g2)
+    elif group == 2:
+        g = (h.s, h.s1w, h.s2ww)
+    else:
+        g = (h.one, h.zero, h.zero)
+    if output_activation == IDENTITY:
+        return g
+    # chain rule of the sigmoid head, in new arrays
+    g_p, g_px, g_pxx = g
+    q1, q2, q3, px, pxx = h.head
+    return (
+        q1 * g_p,
+        q2 * g_p * px + q1 * g_px,
+        q3 * g_p * (px * px) + q2 * (2.0 * px * g_px + pxx * g_p) + q1 * g_pxx,
     )
-    return out + (g_value, g_d1, g_d2)
-
-
-def _raw_eval(w, b, v, beta, x, output_activation=IDENTITY):
-    """value/d1/d2 arrays at a vector of inputs. Internal, array-based."""
-    p, px, pxx = _hidden_pass(w, b, v, beta, x)[-3:]
-    if output_activation == IDENTITY:
-        return p, px, pxx
-    return _sigmoid_head(p, px, pxx)
-
-
-def grad_blocks(r: int, n: int) -> np.ndarray:
-    """Caller-owned output of _raw_eval_grads for r inputs and n hidden units.
-
-    Three (r, 3n+1) blocks for value, d1 and d2 in the flat layout order. The
-    output-bias column is constant (ones for the value, zeros for both
-    derivatives); it is filled here and _raw_eval_grads never writes it, so
-    one set of blocks serves any number of calls.
-    """
-    blocks = np.zeros((3, r, 3 * n + 1))
-    blocks[0, :, -1] = 1.0
-    return blocks
-
-
-def _raw_eval_grads(w, b, v, beta, x, blocks, output_activation=IDENTITY):
-    """As _raw_eval, plus parameter gradients of value, d1 and d2.
-
-    Returns (value, d1, d2, g_value, g_d1, g_d2) where each g_* has shape
-    (len(x), 3n+1) in the flat layout order. The identity head writes its
-    gradients into `blocks` (see grad_blocks) and returns them; the sigmoid
-    head returns new arrays computed from them.
-    """
-    n = w.size
-    s, s1, s2, ww, s1w, s2ww, p, px, pxx = _hidden_pass(w, b, v, beta, x)
-    s6 = 6.0 * s
-    s3 = s1 * (1.0 - s6 + s6 * s)
-    xs = x[:, None]
-
-    # gradients of the pre-activation head P and its input derivatives by
-    # parameter group (hidden weights, hidden biases, output weights, output
-    # bias). The in-place sequences below evaluate exactly these products,
-    # left to right: regrouping one changes its last bits, and training
-    # amplifies those into visibly different solutions.
-    #   g_p   = [v*s1*xs,                 v*s1,       s,     1]
-    #   g_px  = [v*(s2*w*xs + s1),        v*s2*w,     s1*w,  0]
-    #   g_pxx = [v*(s3*ww*xs + 2*w*s2),   v*s3*ww,    s2*ww, 0]
-    g_p, g_px, g_pxx = blocks
-    hw, hb, ov = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
-    p_w, p_b = g_p[:, hw], g_p[:, hb]
-    np.multiply(v, s1, out=p_b)
-    np.multiply(p_b, xs, out=p_w)
-    g_p[:, ov] = s
-
-    t = s2 * w
-    t *= xs
-    t += s1
-    np.multiply(v, t, out=g_px[:, hw])
-    px_b = g_px[:, hb]
-    np.multiply(v, s2, out=px_b)
-    px_b *= w
-    g_px[:, ov] = s1w
-
-    t = s3 * ww
-    t *= xs
-    t += (2.0 * w) * s2
-    np.multiply(v, t, out=g_pxx[:, hw])
-    pxx_b = g_pxx[:, hb]
-    np.multiply(v, s3, out=pxx_b)
-    pxx_b *= ww
-    g_pxx[:, ov] = s2ww
-
-    if output_activation == IDENTITY:
-        return p, px, pxx, g_p, g_px, g_pxx
-    return _sigmoid_head(p, px, pxx, (g_p, g_px, g_pxx))
 
 
 def eval_batch(params: NetworkParams, x: np.ndarray, output_activation: str = IDENTITY):
     """Vectorized (value, d1, d2) arrays over a vector of inputs."""
     _check_activation(output_activation)
-    x = np.asarray(x, dtype=float)
-    return _raw_eval(*_parts(params), x, output_activation)
+    h = PassBuffers(x, params.n_hidden)
+    return _forward(*_parts(params), h, output_activation)
 
 
 def forward(params: NetworkParams, x: float, output_activation: str = IDENTITY) -> NetEval:
@@ -240,10 +281,11 @@ def param_grad(
     _check_activation(output_activation)
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
-    blocks = grad_blocks(1, params.n_hidden)
-    out = _raw_eval_grads(*_parts(params), np.array([float(x)]), blocks, output_activation)
-    g = out[{"value": 3, "d1": 4, "d2": 5}[target]][0]
-    return NetworkParams.from_flat(g, params.n_hidden)
+    h = PassBuffers(np.array([float(x)]), params.n_hidden, grads=True)
+    _forward(*_parts(params), h, output_activation, grads=True)
+    pick = {"value": 0, "d1": 1, "d2": 2}[target]
+    g = [_group_grads(h, group, output_activation)[pick][0].copy() for group in range(4)]
+    return NetworkParams.from_flat(np.concatenate(g), params.n_hidden)
 
 
 def save_params_csv(params: NetworkParams, path) -> None:

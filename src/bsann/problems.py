@@ -26,6 +26,15 @@ TERMINAL_PAYOFF = "terminal_payoff"
 INITIAL_DATA = "initial_data"
 
 
+def pow_or_inf(base: float, exponent: float) -> float:
+    """base**exponent of Python floats, with inf where the power overflows
+    (Python raises OverflowError there, numpy would return inf)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -197,14 +206,14 @@ def fractional_manufactured(
     def forcing(s, t):
         s = np.asarray(s, dtype=float)
         # Caputo derivative of (t+1)^2 = t^2 + 2t + 1
-        dterm = 2.0 * t ** (2.0 - alpha) / g3ma + 2.0 * t ** (1.0 - alpha) / g2ma
+        dterm = 2.0 * pow_or_inf(t, 2.0 - alpha) / g3ma + 2.0 * pow_or_inf(t, 1.0 - alpha) / g2ma
         shape = s * s * (1.0 - s)
         spatial = a * (2.0 - 6.0 * s) + b * (2.0 * s - 3.0 * s * s) - c * shape
-        return dterm * shape - (t + 1.0) ** 2 * spatial
+        return dterm * shape - pow_or_inf(t + 1.0, 2) * spatial
 
     def exact(s, t):
         s = np.asarray(s, dtype=float)
-        return (t + 1.0) ** 2 * s * s * (1.0 - s)
+        return pow_or_inf(t + 1.0, 2) * s * s * (1.0 - s)
 
     return ProblemSpec(
         name="fractional_manufactured",

@@ -19,8 +19,9 @@ epoch index and the breakdown recorded so far.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, Iterator, Optional, Sequence
 
 import numpy as np
@@ -29,14 +30,14 @@ from .mapping import ARCTAN, DomainMap, from_x, jacobians
 from .network import (
     IDENTITY,
     NetworkParams,
+    PassBuffers,
     _check_activation,
-    _raw_eval,
-    _raw_eval_grads,
+    _forward,
+    _group_grads,
     _split_flat,
-    grad_blocks,
     init_params,
 )
-from .problems import CollocationSet, ProblemSpec
+from .problems import CollocationSet, ProblemSpec, pow_or_inf
 from .stepper import StepHistory, TimeGrid, l1_history
 
 ADAM = "adam"
@@ -85,15 +86,25 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """First and second moment accumulators plus the update counter."""
+    """First and second moment accumulators plus the update counter.
+
+    The update steps overwrite m and v in place, and use two scratch vectors
+    that are allocated on the first update.
+    """
 
     m: np.ndarray
     v: np.ndarray
     iteration: int = 0
+    scratch: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, size: int) -> "OptimizerState":
         return cls(m=np.zeros(size), v=np.zeros(size), iteration=0)
+
+    def _scratch(self, size: int) -> np.ndarray:
+        if self.scratch is None or self.scratch.shape != (2, size):
+            self.scratch = np.empty((2, size))
+        return self.scratch
 
 
 @dataclass(frozen=True)
@@ -203,57 +214,118 @@ def build_step_context(
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Buffers that every epoch of one step overwrites in place."""
+    """Buffers that every epoch of one step overwrites in place.
 
-    blocks: np.ndarray  # (3, r, 3n+1) network gradient blocks, see grad_blocks
-    coef: np.ndarray    # (3, n_pde, 3n+1) a_value, a_d1, a_d2 repeated along each row
-    jac: np.ndarray     # (n_pde, 3n+1) residual Jacobian
-    term: np.ndarray    # (n_pde, 3n+1) one term of jac before it is added
+    The Jacobian of the residual rows is built one parameter group at a time
+    (hidden weights, hidden biases, output weights, output bias): the group's
+    (value, d1, d2) gradients from the network pass are scaled by full-shape
+    copies of a_value, a_d1 and a_d2 into two scratch arrays, and the last add
+    writes the group's columns of jac. The group's value gradients at the two
+    boundary points go into its slices of rows. With the identity head the
+    output-bias column of jac and of rows is constant; it is written once per
+    step, when the workspace is built, and no epoch writes it again.
+    """
+
+    # a cost-only workspace keeps hidden (without gradient planes), resid and
+    # rtmp, and holds None or nothing in the other fields
+    hidden: PassBuffers           # network pass at ctx.points
+    targets: tuple                # per group: jac columns, 3 coefficients, 2 scratch, 2 rows slices
+    jac: Optional[np.ndarray]     # (n_pde, 3n+1) residual Jacobian
+    resid: np.ndarray             # (n_pde,) residual
+    rtmp: np.ndarray              # (n_pde,) one residual term before it is added
+    rows: Optional[np.ndarray]    # (2, 3n+1) value gradients at the left and right boundary
+    scaled: Optional[np.ndarray]  # (3n+1,) one boundary row times its factor
+    grad: Optional[np.ndarray]    # (3n+1,) flat cost gradient
+    epoch_groups: int             # groups rewritten each epoch: 3, or 4 with a sigmoid head
 
 
-def _workspace(ctx: StepContext, n: int) -> _Workspace:
-    # full-shape coefficients make the row scaling a same-shape product,
-    # which numpy runs as one flat loop rather than one loop per row
-    shape = (ctx.n_pde, 3 * n + 1)
-    coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], shape[1], axis=2)
-    return _Workspace(grad_blocks(ctx.points.size, n), coef, np.empty(shape), np.empty(shape))
+def workspace_nbytes(r: int, n: int) -> int:
+    """Bytes of one step's training workspace and optimizer state for r points
+    and n hidden units; an upper bound, exact when every point is a residual row."""
+    size = 3 * n + 1
+    own = 5 * r * n + r * size + 2 * r + 8 * size  # the last term counts m, v and scratch
+    return PassBuffers.nbytes(r, n, grads=True) + 8 * own
 
 
-def _context_cost_grad(ctx: StepContext, flat: np.ndarray, n: int, ws: Optional[_Workspace]):
-    """Cost breakdown and its flat gradient; with ws None, the cost alone and grad None."""
-    w, b, v, beta = _split_flat(flat, n)
-    if ws is None:
-        val, d1, d2 = _raw_eval(w, b, v, beta, ctx.points, ctx.output_activation)
-    else:
-        val, d1, d2, g_val, g_d1, g_d2 = _raw_eval_grads(
-            w, b, v, beta, ctx.points, ws.blocks, ctx.output_activation
+def _workspace(ctx: StepContext, n: int, grads: bool = True) -> _Workspace:
+    """Workspace for ctx's step; without grads, only what the cost needs."""
+    m, size = ctx.n_pde, 3 * n + 1
+    if not grads:
+        return _Workspace(PassBuffers(ctx.points, n), (), None, np.empty(m), np.empty(m),
+                          None, None, None, 0)
+    coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], n, axis=2)
+    scratch = np.empty((2, m, n))
+    jac, rows = np.empty((m, size)), np.empty((2, size))
+    targets = []
+    for group in range(4):
+        k = 1 if group == 3 else n
+        cols = slice(group * n, group * n + k)
+        targets.append(
+            (jac[:, cols], *coef[:, :, :k], *scratch[:, :, :k], rows[0, cols], rows[1, cols])
         )
+    ws = _Workspace(
+        PassBuffers(ctx.points, n, grads=True), tuple(targets),
+        jac, np.empty(m), np.empty(m), rows, np.empty(size), np.empty(size),
+        3 if ctx.output_activation == IDENTITY else 4,
+    )
+    if ws.epoch_groups == 3:
+        _group_columns(ctx, ws, 3)
+    return ws
+
+
+def _group_columns(ctx: StepContext, ws: _Workspace, group: int) -> None:
+    """Write one parameter group's columns of jac and of the boundary rows.
+
+    jac = (a_value*g_value + a_d1*g_d1) + a_d2*g_d2 over the residual rows."""
+    g_val, g_d1, g_d2 = _group_grads(ws.hidden, group, ctx.output_activation)
+    jac, c_val, c_d1, c_d2, t1, t2, left, right = ws.targets[group]
     m = ctx.n_pde
-    resid = ctx.a_value * val[:m] + ctx.a_d1 * d1[:m] + ctx.a_d2 * d2[:m] + ctx.offset
+    np.multiply(c_val, g_val[:m], out=t1)
+    np.multiply(c_d1, g_d1[:m], out=t2)
+    t1 += t2
+    np.multiply(c_d2, g_d2[:m], out=t2)
+    np.add(t1, t2, out=jac)
+    np.copyto(left, g_val[ctx.left_index])
+    np.copyto(right, g_val[ctx.right_index])
+
+
+def _context_cost_grad(
+    ctx: StepContext, flat: np.ndarray, n: int, ws: _Workspace, row: np.ndarray, grad: bool = True
+) -> Optional[np.ndarray]:
+    """Write the cost terms (pde, left_bc, right_bc, total) into row; with grad,
+    return the flat cost gradient, which is ws.grad and the next call overwrites."""
+    w, b, v, beta = _split_flat(flat, n)
+    val, d1, d2 = _forward(w, b, v, beta, ws.hidden, ctx.output_activation, grad)
+    m = ctx.n_pde
+    # resid = ((a_value*val + a_d1*d1) + a_d2*d2) + offset
+    resid, term = ws.resid, ws.rtmp
+    np.multiply(ctx.a_value, val[:m], out=resid)
+    np.multiply(ctx.a_d1, d1[:m], out=term)
+    resid += term
+    np.multiply(ctx.a_d2, d2[:m], out=term)
+    resid += term
+    resid += ctx.offset
     left_miss = float(val[ctx.left_index] - ctx.left_target)
     right_miss = float(val[ctx.right_index] - ctx.right_target)
-    grad = None
-    if ws is not None:
-        # jac = (a_value*g_val + a_d1*g_d1) + a_d2*g_d2 over the residual rows
-        jac, term = ws.jac, ws.term
-        np.multiply(ws.coef[0], g_val[:m], out=jac)
-        np.multiply(ws.coef[1], g_d1[:m], out=term)
-        jac += term
-        np.multiply(ws.coef[2], g_d2[:m], out=term)
-        jac += term
-        grad = (
-            (resid @ jac) / ctx.r_norm
-            + 2.0 * left_miss * g_val[ctx.left_index]
-            + 2.0 * right_miss * g_val[ctx.right_index]
-        )
     pde = float(resid @ resid) / (2.0 * ctx.r_norm)
-    cost = CostBreakdown(
-        pde_term=pde,
-        left_bc_term=left_miss**2,
-        right_bc_term=right_miss**2,
-        total=pde + left_miss**2 + right_miss**2,
-    )
-    return cost, grad
+    left_sq, right_sq = pow_or_inf(left_miss, 2), pow_or_inf(right_miss, 2)
+    row[0] = pde
+    row[1] = left_sq
+    row[2] = right_sq
+    row[3] = pde + left_sq + right_sq
+    if not grad:
+        return None
+    for group in range(ws.epoch_groups):
+        _group_columns(ctx, ws, group)
+    # (resid @ jac) / r + 2*left_miss*g_value[left] + 2*right_miss*g_value[right]
+    out, scaled = ws.grad, ws.scaled
+    np.matmul(resid, ws.jac, out=out)
+    out /= ctx.r_norm
+    np.multiply(ws.rows[0], 2.0 * left_miss, out=scaled)
+    out += scaled
+    np.multiply(ws.rows[1], 2.0 * right_miss, out=scaled)
+    out += scaled
+    return out
 
 
 def step_cost(
@@ -272,8 +344,10 @@ def step_cost(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    cost, _ = _context_cost_grad(ctx, params.to_flat(), params.n_hidden, None)
-    return cost
+    n = params.n_hidden
+    row = np.empty(4)
+    _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n, grads=False), row, grad=False)
+    return CostBreakdown(*row.tolist())
 
 
 def cost_gradient(
@@ -293,40 +367,73 @@ def cost_gradient(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
     n = params.n_hidden
-    _, grad = _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n))
+    grad = _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n), np.empty(4))
     return NetworkParams.from_flat(grad, n)
 
 
+# The update steps work in place: they overwrite state and params and return
+# both. Each keeps the operands of its textbook expression; a product or a sum
+# whose two operands trade places rounds identically.
+
+
 def adam_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
-    """One Adam update on the flat vector; epsilon sits outside the square root."""
-    if params.shape != grad.shape or state.m.shape != params.shape:
+    """One Adam update on the flat vector; epsilon sits outside the square root.
+
+    m = (1-b1)*g + b1*m, v = (1-b2)*(g*g) + b2*v and
+    params -= eta*mhat / (sqrt(vhat) + eps), with the bias-corrected moments
+    mhat and vhat.
+    """
+    if params.shape != grad.shape or state.m.shape != params.shape or state.v.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
-    m = (1.0 - cfg.beta1) * grad + cfg.beta1 * state.m
-    v = (1.0 - cfg.beta2) * (grad * grad) + cfg.beta2 * state.v
+    m, v = state.m, state.v
+    t, u = state._scratch(params.size)
+    m *= cfg.beta1
+    np.multiply(grad, 1.0 - cfg.beta1, out=t)
+    m += t
+    np.multiply(grad, grad, out=t)
+    t *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += t
     i = state.iteration
-    mhat = m / (1.0 - cfg.beta1 ** (i + 1))
-    vhat = v / (1.0 - cfg.beta2 ** (i + 1))
-    new_params = params - cfg.eta * mhat / (np.sqrt(vhat) + cfg.epsilon)
-    return OptimizerState(m=m, v=v, iteration=i + 1), new_params
+    np.divide(v, 1.0 - cfg.beta2 ** (i + 1), out=t)
+    np.sqrt(t, out=t)
+    t += cfg.epsilon
+    np.divide(m, 1.0 - cfg.beta1 ** (i + 1), out=u)
+    u *= cfg.eta
+    u /= t
+    params -= u
+    state.iteration = i + 1
+    return state, params
 
 
 def sgd_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
-    """Plain full-batch gradient descent."""
+    """Plain full-batch gradient descent: params -= eta*g."""
     if params.shape != grad.shape:
         raise ValueError("parameter and gradient shapes must match")
-    return (
-        OptimizerState(m=state.m, v=state.v, iteration=state.iteration + 1),
-        params - cfg.eta * grad,
-    )
+    t = state._scratch(params.size)[0]
+    np.multiply(grad, cfg.eta, out=t)
+    params -= t
+    state.iteration += 1
+    return state, params
 
 
 def rmsprop_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
-    """RMSprop with decay 0.9 on the squared-gradient average."""
+    """RMSprop with decay 0.9: v = 0.9*v + 0.1*(g*g), params -= eta*g / (sqrt(v) + eps)."""
     if params.shape != grad.shape or state.v.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
-    v = 0.9 * state.v + 0.1 * (grad * grad)
-    new_params = params - cfg.eta * grad / (np.sqrt(v) + cfg.epsilon)
-    return OptimizerState(m=state.m, v=v, iteration=state.iteration + 1), new_params
+    v = state.v
+    t, u = state._scratch(params.size)
+    v *= 0.9
+    np.multiply(grad, grad, out=t)
+    t *= 0.1
+    v += t
+    np.sqrt(v, out=u)
+    u += cfg.epsilon
+    np.multiply(grad, cfg.eta, out=t)
+    t /= u
+    params -= t
+    state.iteration += 1
+    return state, params
 
 
 _STEP_FNS = {ADAM: adam_step, SGD: sgd_step, RMSPROP: rmsprop_step}
@@ -376,12 +483,12 @@ def train_step_network(
     breakdown = np.empty((epochs + 1, 4))
     for e in range(epochs + 1):
         # the last pass only records the cost, so it skips the Jacobian
-        cost, grad = _context_cost_grad(ctx, flat, n, ws if e < epochs else None)
-        breakdown[e] = (cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total)
-        if not np.isfinite(cost.total) or cost.total > DIVERGENCE_LIMIT:
-            raise TrainingDiverged(epoch=e, cost=cost.total, breakdown=breakdown[: e + 1].copy())
-        if e < epochs:
-            state, flat = step_fn(state, flat, grad, cfg)
+        grad = _context_cost_grad(ctx, flat, n, ws, breakdown[e], e < epochs)
+        total = float(breakdown[e, 3])
+        if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
+            raise TrainingDiverged(epoch=e, cost=total, breakdown=breakdown[: e + 1].copy())
+        if grad is not None:
+            step_fn(state, flat, grad, cfg)
     return StepTrainResult(params=NetworkParams.from_flat(flat, n), breakdown=breakdown)
 
 
@@ -420,11 +527,8 @@ def probe_first_step(
     diverging run is recorded with its breakdown up to the failing epoch;
     it is never raised. Runs are yielded one at a time so that a caller
     which keeps only a summary frees each breakdown before the next run.
-    The epoch loop keeps its Jacobians in one workspace per step, but its
-    (r, n) temporaries are still fresh each epoch, and holding every
-    breakdown shifts their heap addresses: it made `bsann lr-search` on
-    bench/workloads/lr_probe.cfg about 10% slower (2.1-2.4 s against
-    1.9-2.3 s) on a 2-core x86 host.
+    Each run builds one workspace for its step; with the identity head its
+    epochs allocate no array.
     """
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     initial = init_params(n_hidden, cfg.seed, init_scale)

@@ -16,3 +16,93 @@ def theta_residual(theta, dt, old_values, new_values, rhs_old, rhs_new):
     if not (old_values.shape == new_values.shape == rhs_old.shape == rhs_new.shape):
         raise ValueError("all vectors must share one shape")
     return (new_values - old_values) / dt - (theta * rhs_new + (1.0 - theta) * rhs_old)
+
+
+def _sigmoid(z):
+    pos = z >= 0
+    ez = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, ez) / (1.0 + ez)
+
+
+def blocks_cost_gradient(ctx, flat, n):
+    """Flat step-cost gradient built from whole (r, 3n+1) gradient blocks,
+    with the residual Jacobian and the two boundary rows of value gradients.
+
+    This is the epoch kernel that preceded the group-by-group one: broadcast
+    products written into column slices of three blocks (value, d1, d2), then
+    the residual Jacobian as a_value*g_value + a_d1*g_d1 + a_d2*g_d2 over full
+    rows. Every product keeps its operands and order, so production must match
+    it bit for bit.
+    """
+    w, b, v, beta = flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
+    x = ctx.points
+    r = x.size
+    z = np.outer(x, w)
+    z += b
+    s = _sigmoid(z)
+    s1 = s * (1.0 - s)
+    s2 = s1 * (1.0 - 2.0 * s)
+    ww = w * w
+    s1w = s1 * w
+    s2ww = s2 * ww
+    p, px, pxx = s @ v + beta, s1w @ v, s2ww @ v
+    s6 = 6.0 * s
+    s3 = s1 * (1.0 - s6 + s6 * s)
+    xs = x[:, None]
+
+    blocks = np.zeros((3, r, 3 * n + 1))
+    blocks[0, :, -1] = 1.0
+    g_p, g_px, g_pxx = blocks
+    hw, hb, ov = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    p_w, p_b = g_p[:, hw], g_p[:, hb]
+    np.multiply(v, s1, out=p_b)
+    np.multiply(p_b, xs, out=p_w)
+    g_p[:, ov] = s
+    t = s2 * w
+    t *= xs
+    t += s1
+    np.multiply(v, t, out=g_px[:, hw])
+    px_b = g_px[:, hb]
+    np.multiply(v, s2, out=px_b)
+    px_b *= w
+    g_px[:, ov] = s1w
+    t = s3 * ww
+    t *= xs
+    t += (2.0 * w) * s2
+    np.multiply(v, t, out=g_pxx[:, hw])
+    pxx_b = g_pxx[:, hb]
+    np.multiply(v, s3, out=pxx_b)
+    pxx_b *= ww
+    g_pxx[:, ov] = s2ww
+
+    if ctx.output_activation == "identity":
+        val, d1, d2, g_val, g_d1, g_d2 = p, px, pxx, g_p, g_px, g_pxx
+    else:
+        q = _sigmoid(p)
+        q1 = q * (1.0 - q)
+        q2 = q1 * (1.0 - 2.0 * q)
+        val, d1, d2 = q, q1 * px, q2 * px * px + q1 * pxx
+        q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
+        qc = q1[:, None]
+        g_val = qc * g_p
+        g_d1 = q2[:, None] * g_p * px[:, None] + qc * g_px
+        g_d2 = (
+            q3[:, None] * g_p * (px * px)[:, None]
+            + q2[:, None] * (2.0 * px[:, None] * g_px + pxx[:, None] * g_p)
+            + qc * g_pxx
+        )
+
+    m = ctx.n_pde
+    resid = ctx.a_value * val[:m] + ctx.a_d1 * d1[:m] + ctx.a_d2 * d2[:m] + ctx.offset
+    left_miss = float(val[ctx.left_index] - ctx.left_target)
+    right_miss = float(val[ctx.right_index] - ctx.right_target)
+    coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], 3 * n + 1, axis=2)
+    jac = np.multiply(coef[0], g_val[:m])
+    jac += coef[1] * g_d1[:m]
+    jac += coef[2] * g_d2[:m]
+    grad = (
+        (resid @ jac) / ctx.r_norm
+        + 2.0 * left_miss * g_val[ctx.left_index]
+        + 2.0 * right_miss * g_val[ctx.right_index]
+    )
+    return grad, jac, g_val[[ctx.left_index, ctx.right_index]]

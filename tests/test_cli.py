@@ -196,6 +196,26 @@ def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, command, cf
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("points.count", "5000000"), ("network.n_hidden", "100000"),
+     ("training.epochs_first", "40000000"), ("grid.n_steps", "1000000000")],
+)
+def test_oversized_keys_exit_2_before_anything_is_built(tmp_path, capsys, monkeypatch, key, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a solver object was built")
+
+    for name in ("build_problem", "build_map", "build_grid", "build_train_config", "solve"):
+        monkeypatch.setattr(bsann.cli, name, never)
+    out = tmp_path / "out"
+    text = divergent_cfg(out)
+    text = "\n".join(line for line in text.splitlines() if not line.startswith(key)) + "\n"
+    cfg = write_cfg(tmp_path, text + f"{key} = {value}\n")
+    assert main(["solve", "--config", cfg, "--no-plots"]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_divergence_exits_3_with_partial_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, divergent_cfg(out))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bsann.config import (
+    MAX_BUFFER_BYTES,
     ConfigError,
     build_grid,
     build_map,
@@ -142,6 +143,34 @@ def test_rejections_name_the_field(overrides, bad_field):
     assert info.value.field == bad_field
 
 
+# the largest epoch budget whose cost breakdown stays within the byte limit
+MAX_EPOCHS = MAX_BUFFER_BYTES // 32 - 1
+
+
+@pytest.mark.parametrize(
+    "overrides,bad_field",
+    [
+        ({"points.count": "5000000"}, "points.count"),
+        ({"network.n_hidden": "100000"}, "network.n_hidden"),
+        ({"training.epochs_first": str(MAX_EPOCHS + 1)}, "training.epochs_first"),
+        ({"training.epochs_rest": str(MAX_EPOCHS + 1)}, "training.epochs_rest"),
+        ({"lr.probe_epochs": str(MAX_EPOCHS + 1)}, "lr.probe_epochs"),
+        ({"grid.n_steps": "1000000000"}, "grid.n_steps"),
+        ({"grid.n_steps": "100000"}, "grid.n_steps"),  # 1201-row breakdowns kept per step
+    ],
+)
+def test_size_keys_past_the_byte_limit_are_rejected(overrides, bad_field):
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(with_(**overrides))
+    assert info.value.field == bad_field
+
+
+def test_sizes_within_the_byte_limit_pass():
+    assert config_from_mapping(with_(**{"lr.probe_epochs": str(MAX_EPOCHS)})).lr_probe_epochs == MAX_EPOCHS
+    assert config_from_mapping(with_(**{"grid.n_steps": "10000"})).n_steps == 10000
+    assert config_from_mapping(with_(**{"network.n_hidden": "1000"})).n_hidden == 1000
+
+
 def test_fractional_constraints():
     base = {
         "problem.name": "fractional_manufactured",
@@ -175,11 +204,15 @@ def test_arctan_constraints():
     with pytest.raises(ConfigError) as info:
         config_from_mapping({**base, "map.right_eval_point": "0.8"})
     assert info.value.field == "map.right_eval_point"
-    # the last interior abscissa (n-2)/(n-1) must stay below the x = 1 surrogate
-    assert config_from_mapping({**base, "points.count": "10000000"}).n_points == 10_000_000
+    # the last interior abscissa (n-2)/(n-1) must stay below the x = 1
+    # surrogate; 10,000,000 points stay below it, but their training
+    # workspace passes MAX_BUFFER_BYTES
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping({**base, "points.count": "10000000"})
+    assert info.value.field == "points.count" and "workspace" in str(info.value)
     with pytest.raises(ConfigError) as info:
         config_from_mapping({**base, "points.count": "10000002"})
-    assert info.value.field == "points.count"
+    assert info.value.field == "points.count" and "surrogate" in str(info.value)
     with pytest.raises(ConfigError) as info:
         config_from_mapping({**base, "points.count": "2"})
     assert info.value.field == "points.count"

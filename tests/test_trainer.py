@@ -26,6 +26,7 @@ from bsann.trainer import (
     TrainingDiverged,
     _context_cost_grad,
     _workspace,
+    workspace_nbytes,
     adam_step,
     build_step_context,
     cost_gradient,
@@ -35,7 +36,7 @@ from bsann.trainer import (
     step_cost,
     train_step_network,
 )
-from reference import theta_residual
+from reference import blocks_cost_gradient, theta_residual
 
 
 def constant_problem():
@@ -354,14 +355,70 @@ def test_workspace_carries_no_state_between_calls(case):
     rng = np.random.default_rng(22)
     flat_a, flat_b = rng.uniform(-1.0, 1.0, (2, 3 * n + 1))
     ws = _workspace(ctx, n)
+    bias_column = ws.jac[:, -1].copy()
+    row, row_fresh, row_cost = np.empty((3, 4))
     for flat in (flat_a, flat_b, flat_a):
-        cost, grad = _context_cost_grad(ctx, flat, n, ws)
-        cost_fresh, grad_fresh = _context_cost_grad(ctx, flat, n, _workspace(ctx, n))
-        assert cost == cost_fresh and np.array_equal(grad, grad_fresh)
-        cost_only, no_grad = _context_cost_grad(ctx, flat, n, None)
-        assert cost_only == cost and no_grad is None
-    # the output-bias column of the gradient blocks is never overwritten
-    assert np.all(ws.blocks[0, :, -1] == 1.0) and np.all(ws.blocks[1:, :, -1] == 0.0)
+        grad = _context_cost_grad(ctx, flat, n, ws, row).copy()
+        grad_fresh = _context_cost_grad(ctx, flat, n, _workspace(ctx, n), row_fresh)
+        assert np.array_equal(row, row_fresh) and np.array_equal(grad, grad_fresh)
+        assert _context_cost_grad(ctx, flat, n, ws, row_cost, grad=False) is None
+        assert np.array_equal(row_cost, row)
+    if act == "identity":
+        # the output-bias column, ((a_value*1) + (a_d1*0)) + a_d2*0, is set
+        # once per step and never overwritten
+        want = (ctx.a_value * 1.0 + ctx.a_d1 * 0.0) + ctx.a_d2 * 0.0
+        assert np.array_equal(bias_column, want)
+        assert np.array_equal(ws.jac[:, -1], want)
+        ws.jac[:, -1] = np.nan
+        _context_cost_grad(ctx, flat_b, n, ws, row)
+        assert np.all(np.isnan(ws.jac[:, -1]))
+    else:
+        # with the sigmoid head the output-bias column moves with the parameters
+        assert not np.array_equal(ws.jac[:, -1], bias_column)
+
+
+@pytest.mark.parametrize("r,n", [(150, 20), (10, 20), (60, 6), (110, 20)])
+@pytest.mark.parametrize("case", ["truncated", "arctan", "sigmoid"])
+def test_cost_gradient_matches_blocks_reference_bit_for_bit(case, r, n):
+    # a gradient that differed by 3.6e-16 relative moved example3_truncated's
+    # error from 1.4e-2 to 1.9e-1, so the kernel must equal the whole-block
+    # reference exactly, not to a tolerance. The gradient's sums absorb most
+    # last-bit changes of single Jacobian entries, so the Jacobian and the
+    # boundary rows are compared too.
+    rng = np.random.default_rng(r + n)
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = make_arctan_map(10.0, 0.6) if case == "arctan" else truncated_map(15.0)
+    grid = make_time_grid(20, 1.0, 1.0)
+    colloc = build_collocation(dmap, r)
+    history = StepHistory(problem.data(from_x(dmap, colloc.points)))
+    history.append(history.row(0) + rng.normal(scale=0.01, size=r))
+    act = "sigmoid" if case == "sigmoid" else "identity"
+    ctx = build_step_context(problem, dmap, grid, colloc, history, 1, output_activation=act)
+    ws = _workspace(ctx, n)
+    for scale in (0.01, 0.1, 1.0, 4.0):
+        params = NetworkParams.from_flat(rng.uniform(-scale, scale, 3 * n + 1), n)
+        got = cost_gradient(params, problem, dmap, grid, colloc, history, 1, output_activation=act)
+        grad, jac, rows = blocks_cost_gradient(ctx, params.to_flat(), n)
+        assert np.array_equal(got.to_flat(), grad)
+        _context_cost_grad(ctx, params.to_flat(), n, ws, np.empty(4))
+        assert np.array_equal(ws.jac, jac) and np.array_equal(ws.rows, rows)
+
+
+@pytest.mark.parametrize("act", ["identity", "sigmoid"])
+def test_workspace_nbytes_counts_the_allocation(act):
+    step, _ = _second_step("truncated")
+    ctx = build_step_context(*step, 1, output_activation=act)
+    n = 7
+    ws = _workspace(ctx, n)
+    arrays = [a for a in vars(ws.hidden).values() if isinstance(a, np.ndarray)]
+    arrays += [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    arrays += [a for group in ws.targets for a in group]
+    state = OptimizerState.zeros(3 * n + 1)
+    state._scratch(3 * n + 1)
+    arrays += [state.m, state.v, state.scratch]
+    bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+             for a in arrays}
+    assert sum(a.nbytes for a in bases.values()) == workspace_nbytes(ctx.points.size, n)
 
 
 def test_training_divergence_is_reported():
