@@ -28,11 +28,11 @@ def blocks_cost_gradient(ctx, flat, n):
     """Flat step-cost gradient built from whole (r, 3n+1) gradient blocks,
     with the residual Jacobian and the two boundary rows of value gradients.
 
-    This is the epoch kernel that preceded the group-by-group one: broadcast
-    products written into column slices of three blocks (value, d1, d2), then
-    the residual Jacobian as a_value*g_value + a_d1*g_d1 + a_d2*g_d2 over full
-    rows. Every product keeps its operands and order, so production must match
-    it bit for bit.
+    Broadcast products fill column slices of three blocks (value, d1, d2),
+    and the residual Jacobian is a_value*g_value + a_d1*g_d1 + a_d2*g_d2 over
+    whole rows: the straightforward form of the arithmetic that the
+    group-by-group kernel performs in place. Every product keeps its operands
+    and order, so production must match it bit for bit.
     """
     w, b, v, beta = flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
     x = ctx.points
