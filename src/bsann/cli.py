@@ -79,20 +79,25 @@ def _load(args, check: Optional[Callable[[RunConfig], None]] = None):
 
 
 def _solution_plots(out_dir: str, result: SolveResult) -> None:
+    """solution.svg, error.svg and cost.svg; a partial march, like errors.csv,
+    gets no exact curve and no error plot."""
     final = result.final_row()
     series = [LineSeries(result.s_points, result.surface[0], "data row")]
     t_final = result.grid.horizon
-    if result.problem.exact is not None:
+    exact = result.problem.exact is not None and result.complete
+    if exact:
         series.append(
             LineSeries(result.s_points, result.problem.exact(result.s_points, t_final), "exact")
         )
     series.append(LineSeries(result.s_points, final, "network"))
+    steps = result.surface.shape[0] - 1
+    done = f"{steps}" if result.complete else f"{steps} of {result.grid.n_steps}"
     write_line_plot(
         os.path.join(out_dir, "solution.svg"), series,
-        title=f"{result.problem.name}: solution after {result.grid.n_steps} steps",
+        title=f"{result.problem.name}: solution after {done} steps",
         x_label="S", y_label="U",
     )
-    if result.problem.exact is not None:
+    if exact:
         summary = error_metrics(result, exclude_surrogate=False)
         write_line_plot(
             os.path.join(out_dir, "error.svg"),
@@ -142,7 +147,7 @@ def cmd_compare(args) -> int:
     cfg, problem, dmap, grid, tcfg = _load(args)
     comparison = compare_optimizers(
         problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
-        cfg.compare_optimizers, cfg.theta, cfg.init_scale, cfg.output_activation,
+        cfg.compare_optimizers, cfg.init_scale, cfg.output_activation,
     )
     series = []
     rows = []
@@ -227,7 +232,7 @@ def cmd_lr_search(args) -> int:
     try:
         search = lr_grid_search(
             problem, dmap, grid, colloc, cfg.n_hidden, tcfg, cfg.lr_candidates,
-            cfg.lr_probe_epochs, cfg.init_scale, cfg.theta, cfg.output_activation,
+            cfg.lr_probe_epochs, cfg.init_scale, cfg.output_activation,
         )
     except LrSearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,7 +350,8 @@ def _selftest_checks():
         grid = make_time_grid(2, 1.0, 1.0)
         cfg = TrainConfig(eta=0.03, epochs_first=40, epochs_rest=20, seed=5)
         a = _solve(problem, truncated_map(15.0), grid, 4, 12, cfg)
-        b = _solve(problem, truncated_map(15.0), grid, 4, 12, cfg)
+        # both steps of a 2-step march are backward Euler at every theta
+        b = _solve(problem, truncated_map(15.0), grid, 4, 12, cfg, theta=0.5)
         assert np.array_equal(a.surface, b.surface)
 
     return [

@@ -70,6 +70,11 @@ class SolveResult:
     def final_row(self) -> np.ndarray:
         return self.surface[-1]
 
+    @property
+    def complete(self) -> bool:
+        """False for a diverged solve's partial result, whose last row is not at the horizon."""
+        return self.surface.shape[0] == self.grid.n_steps + 1
+
 
 def history_at(result: SolveResult, step_index: int) -> StepHistory:
     """Rebuild the training history as it stood before step step_index + 1."""
@@ -79,33 +84,8 @@ def history_at(result: SolveResult, step_index: int) -> StepHistory:
     return hist
 
 
-def _rhs_from_params(
-    params: NetworkParams,
-    problem: ProblemSpec,
-    dmap: DomainMap,
-    colloc: CollocationSet,
-    s_vals: np.ndarray,
-    t: float,
-    output_activation: str,
-) -> np.ndarray:
-    val, d1, d2 = eval_batch(params, colloc.points, output_activation)
-    d1, d2 = transform_derivatives(d1, d2, *jacobians(dmap, colloc.points))
-    return spatial_rhs(problem.operator, s_vals, t, val, d1, d2)
-
-
-def _rhs_from_data(
-    problem: ProblemSpec, s_vals: np.ndarray, t: float
-) -> np.ndarray:
-    # spatial rhs of the data row for theta < 1 starts; the data function is
-    # a training constant, so finite differences are acceptable here
-    h = 1e-6 * np.maximum(1.0, np.abs(s_vals))
-    up = problem.data(s_vals + h)
-    down = problem.data(np.maximum(s_vals - h, 0.0))
-    mid = problem.data(s_vals)
-    span = s_vals + h - np.maximum(s_vals - h, 0.0)
-    d1 = (up - down) / span
-    d2 = (up - 2.0 * mid + down) / (0.5 * span) ** 2
-    return spatial_rhs(problem.operator, s_vals, t, mid, d1, d2)
+# steps that solve() runs at theta = 1 before switching to its theta
+START_STEPS = 2
 
 
 def solve(
@@ -121,6 +101,12 @@ def solve(
 ) -> SolveResult:
     """March all time steps, one trained network per step.
 
+    Steps 1 and 2 are backward Euler whatever theta is (Rannacher's start:
+    two implicit steps damp the payoff's kink before a theta < 1 step sees
+    it). Every later step uses theta, and takes the old step's spatial rhs
+    from the previous step's network and its exact input derivatives, so no
+    derivative of the data row is ever needed.
+
     Raises TrainingDiverged with the failing step index and the partial
     result (completed rows) attached when a step's cost blows up.
     """
@@ -128,14 +114,16 @@ def solve(
         raise ValueError(
             f"grid alpha {grid.alpha} does not match problem alpha {problem.alpha}"
         )
+    if not 0.0 <= theta <= 1.0 or (theta < 1.0 and grid.alpha < 1.0):
+        raise ValueError(f"theta must lie in [0, 1], and be 1 when alpha < 1; got {theta}")
     colloc = build_collocation(dmap, n_points)
     s_vals = from_x(dmap, colloc.points)
     surrogate = colloc.count - 1 if dmap.kind == ARCTAN else None
     history = StepHistory(problem.data(s_vals))
     params = init_params(n_hidden, cfg.seed, init_scale)
-
-    need_rhs_old = grid.alpha == 1.0 and theta < 1.0
-    rhs_old = _rhs_from_data(problem, s_vals, 0.0) if need_rhs_old else None
+    # the map's chain-rule factors, for the old step's rhs when theta < 1
+    factors = jacobians(dmap, colloc.points) if theta < 1.0 else None
+    rhs_old = None
 
     snapshots = []
     breakdowns = []
@@ -162,7 +150,7 @@ def solve(
         try:
             res = train_step_network(
                 params, problem, dmap, grid, colloc, history, k - 1, cfg,
-                theta, rhs_old, output_activation,
+                theta if k > START_STEPS else 1.0, rhs_old, output_activation,
             )
         except TrainingDiverged as exc:
             err = TrainingDiverged(
@@ -172,13 +160,13 @@ def solve(
             raise err from exc
         walls.append(time.perf_counter() - t0)
         params = res.params
-        history.append(eval_batch(params, colloc.points, output_activation)[0])
+        val, d1, d2 = eval_batch(params, colloc.points, output_activation)
+        history.append(val)
         snapshots.append(params)
         breakdowns.append(res.breakdown)
-        if need_rhs_old:
-            rhs_old = _rhs_from_params(
-                params, problem, dmap, colloc, s_vals, k * grid.dt, output_activation
-            )
+        if theta < 1.0:
+            d1, d2 = transform_derivatives(d1, d2, *factors)
+            rhs_old = spatial_rhs(problem.operator, s_vals, k * grid.dt, val, d1, d2)
     return result()
 
 
@@ -195,6 +183,8 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
     """Pointwise errors against the problem's exact solution at the final time."""
     if result.problem.exact is None:
         raise ValueError(f"problem {result.problem.name!r} has no exact solution")
+    if not result.complete:
+        raise ValueError("a partial march has no row at the reporting time")
     t_final = result.grid.horizon
     exact = np.asarray(result.problem.exact(result.s_points, t_final), dtype=float)
     abs_err = np.abs(exact - result.final_row())
@@ -225,18 +215,19 @@ def compare_optimizers(
     n_points: int,
     cfg: TrainConfig,
     optimizers: Sequence[str] = ("adam", "sgd", "rmsprop"),
-    theta: float = 1.0,
     init_scale: float = 0.01,
     output_activation: str = IDENTITY,
 ) -> OptimizerComparison:
     """Train the first marching step under each optimizer from one shared start.
 
-    Divergence of an optimizer is recorded as a truncated trace, never raised.
+    The first step is backward Euler for every theta, so the comparison has
+    no theta. Divergence of an optimizer is recorded as a truncated trace,
+    never raised.
     """
     colloc = build_collocation(dmap, n_points)
     probes = probe_first_step(
         problem, dmap, grid, colloc, n_hidden, cfg,
-        [dict(optimizer=name) for name in optimizers], init_scale, theta, output_activation,
+        [dict(optimizer=name) for name in optimizers], init_scale, output_activation,
     )
     return OptimizerComparison(
         runs=dict(zip(optimizers, probes)), s_points=from_x(dmap, colloc.points)
@@ -347,7 +338,7 @@ def write_solution_outputs(out_dir, result: SolveResult) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     write_surface_csv(os.path.join(out_dir, "surface.csv"), result)
-    if result.problem.exact is not None and result.surface.shape[0] == result.grid.n_steps + 1:
+    if result.problem.exact is not None and result.complete:
         write_errors_csv(os.path.join(out_dir, "errors.csv"), result)
     for i, breakdown in enumerate(result.breakdowns):
         write_cost_csv(os.path.join(out_dir, f"cost_step_{i + 1}.csv"), breakdown)

@@ -518,17 +518,17 @@ def probe_first_step(
     cfg: TrainConfig,
     variants: Sequence[Dict[str, object]],
     init_scale: float = 0.01,
-    theta: float = 1.0,
     output_activation: str = IDENTITY,
 ) -> Iterator[ProbeRun]:
     """Train the first marching step once per variant, all from one shared start.
 
-    Each variant names the TrainConfig fields that differ from cfg. A
-    diverging run is recorded with its breakdown up to the failing epoch;
-    it is never raised. Runs are yielded one at a time so that a caller
-    which keeps only a summary frees each breakdown before the next run.
-    Each run builds one workspace for its step; with the identity head its
-    epochs allocate no array.
+    The first step is backward Euler for every theta (see solver.solve), so
+    a probe needs no theta and no old-step rhs. Each variant names the
+    TrainConfig fields that differ from cfg. A diverging run is recorded with
+    its breakdown up to the failing epoch; it is never raised. Runs are
+    yielded one at a time so that a caller which keeps only a summary frees
+    each breakdown before the next run. Each run builds one workspace for its
+    step; with the identity head its epochs allocate no array.
     """
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     initial = init_params(n_hidden, cfg.seed, init_scale)
@@ -539,7 +539,7 @@ def probe_first_step(
         try:
             breakdown = train_step_network(
                 initial, problem, dmap, grid, colloc, history, 0, run_cfg,
-                theta, None, output_activation,
+                output_activation=output_activation,
             ).breakdown
         except TrainingDiverged as exc:
             breakdown, diverged_epoch = exc.breakdown, exc.epoch
@@ -580,15 +580,15 @@ def lr_grid_search(
     candidates: Sequence[float],
     probe_epochs: int,
     init_scale: float = 0.01,
-    theta: float = 1.0,
     output_activation: str = IDENTITY,
 ) -> LrSearchResult:
     """Deterministic grid replacement for a learning-rate search.
 
     Trains the first marching step for probe_epochs under each candidate eta
     from one shared initialization and keeps the lowest final cost, breaking
-    ties toward the smaller eta. Raises LrSearchFailed when every candidate
-    diverges.
+    ties toward the smaller eta. The first step is backward Euler for every
+    theta, so the search has no theta. Raises LrSearchFailed when every
+    candidate diverges.
     """
     if len(candidates) == 0:
         raise ValueError("need at least one learning-rate candidate")
@@ -597,7 +597,7 @@ def lr_grid_search(
     runs = probe_first_step(
         problem, dmap, grid, colloc, n_hidden, cfg,
         [dict(eta=float(eta), epochs_first=int(probe_epochs)) for eta in candidates],
-        init_scale, theta, output_activation,
+        init_scale, output_activation,
     )
     outcomes = [
         LrOutcome(

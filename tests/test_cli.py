@@ -94,6 +94,8 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     for name in all_csvs(out):
         header, rows = read_csv(out / name)
         assert len(header) >= 2 and rows
+    svg = (out / "solution.svg").read_text(encoding="utf-8")
+    assert "solution after 3 steps" in svg and "exact" in svg
 
 
 def test_solve_no_plots_and_out_override(tmp_path):
@@ -226,6 +228,53 @@ def test_divergence_exits_3_with_partial_outputs(tmp_path, capsys):
     assert header == ("t", "S", "U")
     assert len(rows) == 150  # only the data row was reached
     assert (out / "timing.csv").exists()
+
+
+def test_partial_march_is_plotted_without_the_exact_price(tmp_path, capsys):
+    out = tmp_path / "out"
+    # three sgd epochs survive step 1; step 2's sixty blow up
+    extra = "training.epochs_first = 3\ntraining.epochs_rest = 60\n"
+    cfg = write_cfg(tmp_path, divergent_cfg(out, extra))
+    assert main(["solve", "--config", cfg]) == 3
+    assert "step 1" in capsys.readouterr().err
+    names = os.listdir(out)
+    assert "params_step_1.csv" in names and "params_step_2.csv" not in names
+    # like errors.csv, no error plot: the last row is not at the reporting time
+    assert "errors.csv" not in names and "error.svg" not in names
+    svg = (out / "solution.svg").read_text(encoding="utf-8")
+    assert "solution after 1 of 20 steps" in svg and "exact" not in svg
+    assert "cost.svg" in names
+
+
+def call_cfg(out_dir, extra=""):
+    return (
+        "problem.name = european_call\n"
+        "map.kind = truncated\n"
+        "map.s_max = 15\n"
+        "grid.n_steps = 4\n"
+        "points.count = 31\n"
+        "network.n_hidden = 6\n"
+        "training.epochs_first = 60\n"
+        f"output.dir = {out_dir}\n" + extra
+    )
+
+
+@pytest.mark.parametrize(
+    "command, extra, csvs",
+    [
+        ("compare", "compare.optimizers = adam,sgd\n", ("cost_adam.csv", "cost_sgd.csv")),
+        ("lr-search", "lr.candidates = 0.01,0.05\nlr.probe_epochs = 60\n", ("lr_search.csv",)),
+    ],
+    ids=["compare", "lr-search"],
+)
+def test_probes_do_not_depend_on_theta(tmp_path, capsys, command, extra, csvs):
+    # the probes train step 1, which is backward Euler at every theta
+    for theta in ("1", "0.5"):
+        cfg = write_cfg(tmp_path, call_cfg(tmp_path / theta, extra + f"grid.theta = {theta}\n"))
+        assert main([command, "--config", cfg, "--no-plots"]) == 0
+    capsys.readouterr()
+    for name in csvs:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "0.5" / name).read_bytes()
 
 
 def test_missing_config_flag_is_usage_error(capsys):

@@ -1,8 +1,9 @@
 """Property tests of the exit-code contract: 0 success, 2 config error naming
 the key, 3 divergence, and never a traceback.
 
-Every generated solve is tiny (at most 3 epochs, 2 steps and 12 points), so
-the examples cover many inputs in little time. Runs are derandomized, so the
+Every generated run of solve, compare, lr-search or sweep-alpha is tiny (at
+most 3 epochs, 2 steps, 12 points, 2 learning rates and 2 alphas), so the
+examples cover many inputs in little time. Runs are derandomized, so the
 suite sees the same examples every time.
 """
 
@@ -32,7 +33,9 @@ BASES = [
      "problem.left_bc": "1", "problem.right_bc": "1", "problem.exact": "1 + 0*S"},
 ]
 BUDGET = {"grid.n_steps": "2", "points.count": "12", "network.n_hidden": "3",
-          "training.epochs_first": "3", "training.epochs_rest": "2"}
+          "training.epochs_first": "3", "training.epochs_rest": "2",
+          "lr.candidates": "0.01, 0.1", "lr.probe_epochs": "2", "sweep.alphas": "0.4, 0.6"}
+COMMANDS = ["solve", "compare", "lr-search", "sweep-alpha"]
 
 # values an override may set, valid and invalid; None removes the key
 CHOICES = {
@@ -61,6 +64,10 @@ CHOICES = {
     "training.epochs_first": ["1", "0", "-1", "x"],
     "training.epochs_rest": ["1", "0"],
     "output.bogus": ["1"],
+    "compare.optimizers": [None, "sgd", "adam,adam", "lbfgs"],
+    "lr.candidates": [None, "0.9", "0", "x"],
+    "lr.probe_epochs": [None, "0"],
+    "sweep.alphas": [None, "1", "0.5"],
 }
 
 
@@ -81,13 +88,17 @@ def _lines(base, key, value):
     return [f"{k} = {v}" for k, v in raw.items()]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(solve_configs(), st.booleans())
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(solve_configs(), st.booleans(), st.sampled_from(COMMANDS))
 # boundary misses and the manufactured forcing used to overflow Python floats
 # and escape as OverflowError
-@example(_lines(0, "problem.strike", "1e300"), False)
-@example(_lines(2, "problem.maturity", "1e300"), False)
-def test_solve_exits_with_a_documented_code(lines, plots):
+@example(_lines(0, "problem.strike", "1e300"), False, "solve")
+@example(_lines(2, "problem.maturity", "1e300"), False, "solve")
+# the first-step probes used to need an old-step rhs at theta < 1, and escaped
+# as ValueError
+@example(_lines(0, "grid.theta", "0.5"), False, "compare")
+@example(_lines(0, "grid.theta", "0.5"), False, "lr-search")
+def test_solve_exits_with_a_documented_code(lines, plots, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w", encoding="utf-8") as fh:
@@ -96,7 +107,7 @@ def test_solve_exits_with_a_documented_code(lines, plots):
         # diverging runs overflow on purpose; their numpy warnings are expected
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
                 np.errstate(all="ignore"):
-            code = main(["solve", "--config", path] + ([] if plots else ["--no-plots"]))
+            code = main([command, "--config", path] + ([] if plots else ["--no-plots"]))
     assert code in EXIT_CODES, err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code == 2:

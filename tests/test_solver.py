@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bsann.mapping import from_x, make_arctan_map, to_x, truncated_map
-from bsann.network import load_params_csv
+from bsann.network import eval_batch, load_params_csv
 from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
 from bsann.solver import (
+    START_STEPS,
     build_collocation,
     compare_optimizers,
     error_metrics,
@@ -16,8 +17,8 @@ from bsann.solver import (
     write_solution_outputs,
     write_surface_csv,
 )
-from bsann.stepper import SpatialOperator, make_time_grid
-from bsann.trainer import TrainConfig, TrainingDiverged
+from bsann.stepper import SpatialOperator, make_time_grid, spatial_rhs
+from bsann.trainer import TrainConfig, TrainingDiverged, step_cost
 
 
 def constant_problem(exact=True):
@@ -117,6 +118,40 @@ def test_solve_alpha_mismatch():
         solve(problem, truncated_map(15.0), grid, 4, 10, TrainConfig())
 
 
+@pytest.mark.parametrize("theta, alpha", [(-0.1, 1.0), (1.5, 1.0), (0.5, 0.5)])
+def test_solve_rejects_a_theta_before_training(theta, alpha):
+    # a 1-step march never reaches a theta step, so the check must come first
+    problem = fractional_manufactured(alpha) if alpha < 1.0 else european_call(0.05, 0.2, 10.0, 1.0)
+    grid = make_time_grid(1, 1.0, alpha)
+    with pytest.raises(ValueError, match="theta"):
+        solve(problem, truncated_map(1.0), grid, 4, 10, TrainConfig(), theta)
+
+
+def test_theta_half_starts_with_two_backward_euler_steps():
+    # 31 points on [0, 15] put a node on the strike, where the payoff has its
+    # kink; a finite-difference payoff rhs used to blow this run up
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = truncated_map(15.0)
+    grid = make_time_grid(4, 1.0, 1.0)
+    cfg = TrainConfig(eta=0.03, epochs_first=300, epochs_rest=60, seed=0)
+    euler = solve(problem, dmap, grid, 20, 31, cfg, 1.0)
+    half = solve(problem, dmap, grid, 20, 31, cfg, 0.5)
+    assert 10.0 in half.s_points and half.theta == 0.5
+    assert START_STEPS == 2
+    for k in range(START_STEPS):
+        assert np.array_equal(half.breakdowns[k], euler.breakdowns[k])
+        assert np.array_equal(half.params_per_step[k].to_flat(), euler.params_per_step[k].to_flat())
+    assert not np.array_equal(half.breakdowns[2], euler.breakdowns[2])
+    # step 3 starts from step 2's network, whose exact derivatives give rhs_old
+    prev = half.params_per_step[1]
+    rhs_old = spatial_rhs(problem.operator, half.s_points, 2 * grid.dt,
+                          *eval_batch(prev, half.colloc.points))
+    start = step_cost(prev, problem, dmap, grid, half.colloc, history_at(half, 2), 2,
+                      0.5, rhs_old)
+    assert start.total == pytest.approx(half.breakdowns[2][0, 3], rel=1e-12)
+    assert error_metrics(half).max_abs <= 1.1 * error_metrics(euler).max_abs
+
+
 def test_option_marching_reports_calendar_time():
     problem = european_call(0.05, 0.2, 10.0, 1.0)
     grid = make_time_grid(2, 1.0, 1.0)
@@ -172,6 +207,9 @@ def test_solve_divergence_carries_partial_result():
     assert exc.partial.surface.shape == (1, 150)
     assert exc.partial.params_per_step == ()
     assert "step 0" in str(exc)
+    assert not exc.partial.complete
+    with pytest.raises(ValueError, match="partial"):
+        error_metrics(exc.partial)
 
 
 def test_compare_optimizers_shares_the_start():
