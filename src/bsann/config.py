@@ -1,9 +1,13 @@
 """Run configuration: flat key=value files with dotted keys.
 
 A config file is plain text, one `section.key = value` per line, `#`
-comments and blank lines ignored. Every range rule of the underlying types
-is checked here before any computation starts; violations raise ConfigError
-carrying the offending field path, which the CLI turns into exit status 2.
+comments and blank lines ignored. Every key is declared once, in KEYS: the
+RunConfig field it fills, its parser, its default (or REQUIRED), its range
+rule, and the problems and map kinds it applies to. A key that is unknown,
+missing where it is required, out of range or given where it does not apply
+raises ConfigError naming the key, and so does each of the few rules that
+tie keys together; the CLI turns it into exit status 2 before any
+computation starts.
 
 The four shipped problems cover the built-in catalog; `problem.name =
 custom` builds an operator from expression strings (see exprs) so other
@@ -12,8 +16,9 @@ linear parabolic problems fit without code changes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -30,9 +35,11 @@ from .problems import (
 )
 from .solver import build_collocation
 from .stepper import SpatialOperator, TimeGrid, make_time_grid
-from .trainer import OPTIMIZERS, TrainConfig, workspace_nbytes
+from .trainer import ADAM, OPTIMIZERS, TrainConfig, workspace_nbytes
 
-PROBLEM_NAMES = ("european_call", "european_put", "fractional_manufactured", "custom")
+CALL, PUT, FRACTIONAL, CUSTOM = "european_call", "european_put", "fractional_manufactured", "custom"
+PROBLEM_NAMES = (CALL, PUT, FRACTIONAL, CUSTOM)
+OPTIONS = (CALL, PUT)
 
 # no single buffer that a run sizes from its config may pass this many bytes:
 # a step's training workspace, a step's cost breakdown, or a solve's surface
@@ -69,85 +76,144 @@ def parse_kv_text(text: str) -> Dict[str, str]:
     return out
 
 
-# every key the schema understands; None marks "required depends on context"
-_KNOWN_KEYS = {
-    "problem.name", "problem.rate", "problem.sigma", "problem.strike", "problem.maturity",
-    "problem.gamma1", "problem.gamma2", "problem.gamma3", "problem.forcing",
-    "problem.data", "problem.data_kind", "problem.left_bc", "problem.right_bc",
-    "problem.exact",
-    "map.kind", "map.s_max", "map.l", "map.reference_price",
-    "grid.n_steps", "grid.alpha", "grid.theta",
-    "points.count",
-    "network.n_hidden", "network.seed", "network.init_scale", "network.output_activation",
-    "training.optimizer", "training.eta", "training.epochs_first", "training.epochs_rest",
-    "output.dir",
-    "compare.optimizers",
-    "sweep.alphas",
-    "lr.candidates", "lr.probe_epochs",
-}
+# parsers take (key, text) and name the key when the text does not parse
+
+def _text(key: str, text: str) -> str:
+    return text
 
 
-def _as_float(raw: Dict[str, str], key: str, default: Optional[float] = None) -> Optional[float]:
-    if key not in raw:
-        return default
+def _float(key: str, text: str) -> float:
     try:
-        value = float(raw[key])
+        value = float(text)
     except ValueError:
-        raise ConfigError(key, f"not a number: {raw[key]!r}") from None
-    if not np.isfinite(value):
-        raise ConfigError(key, f"not a finite number: {raw[key]!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(key, f"not a finite number: {text!r}")
     return value
 
 
-def _as_int(raw: Dict[str, str], key: str, default: Optional[int] = None) -> Optional[int]:
-    if key not in raw:
-        return default
+def _int(key: str, text: str) -> int:
     try:
-        return int(raw[key])
+        return int(text)
     except ValueError:
-        raise ConfigError(key, f"not an integer: {raw[key]!r}") from None
+        raise ConfigError(key, f"not an integer: {text!r}") from None
 
 
-def _as_floats(raw: Dict[str, str], key: str) -> Optional[Tuple[float, ...]]:
-    if key not in raw:
-        return None
-    items = [piece.strip() for piece in raw[key].split(",") if piece.strip()]
+def _items(key: str, text: str) -> Tuple[str, ...]:
+    items = tuple(piece.strip() for piece in text.split(",") if piece.strip())
     if not items:
         raise ConfigError(key, "empty list")
-    try:
-        return tuple(float(piece) for piece in items)
-    except ValueError:
-        raise ConfigError(key, f"not a number list: {raw[key]!r}") from None
+    return items
 
 
-def _require(raw: Dict[str, str], key: str) -> str:
-    if key not in raw:
-        raise ConfigError(key, "required key is missing")
-    return raw[key]
+def _floats(key: str, text: str) -> Tuple[float, ...]:
+    return tuple(_float(key, piece) for piece in _items(key, text))
 
 
-def _expr(raw: Dict[str, str], key: str, variables) -> Callable:
-    text = _require(raw, key)
-    try:
-        return compile_expression(text, variables)
-    except ExpressionError as exc:
-        raise ConfigError(key, str(exc)) from None
+def _names(key: str, text: str) -> Tuple[str, ...]:
+    items = _items(key, text)
+    if len(set(items)) != len(items):
+        raise ConfigError(key, f"duplicate name in {text!r}")
+    return items
+
+
+def _choice(*options: str) -> Callable[[str, str], str]:
+    def parse(key: str, text: str) -> str:
+        if text not in options:
+            raise ConfigError(key, f"must be one of {options}, got {text!r}")
+        return text
+    return parse
+
+
+# range rules: a test of one value (of each item of a list) and what it demands
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+
+
+def _at_least(low: int):
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+def _where(names=PROBLEM_NAMES, kinds=(TRUNCATED, ARCTAN)) -> Callable[[str, str], bool]:
+    return lambda name, kind: name in names and kind in kinds
+
+
+REQUIRED = object()
+CUSTOM_FIELD = "custom"  # the custom problem's keys share one dict field, keyed by key
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key. default may map problem names to defaults; a problem
+    missing from that map requires the key. applies tests (problem.name,
+    map.kind); where it fails, the key must not be given and its field is None."""
+
+    field: str
+    parse: Callable[[str, str], Any]
+    default: Any = None
+    rule: Optional[Tuple[Callable[[Any], bool], str]] = None
+    applies: Callable[[str, str], bool] = _where()
+
+
+_CUSTOM = _where((CUSTOM,))
+_BUILTIN = _where((CALL, PUT, FRACTIONAL))
+
+KEYS: Dict[str, Key] = {
+    "problem.name": Key("problem_name", _choice(*PROBLEM_NAMES), REQUIRED),
+    "problem.rate": Key("rate", _float, 0.05, None, _BUILTIN),
+    "problem.sigma": Key("sigma", _float, {CALL: 0.2, PUT: 0.2, FRACTIONAL: 0.25}, None, _BUILTIN),
+    # options price against the strike; a custom problem needs it only to anchor an arctan map
+    "problem.strike": Key("strike", _float, {CALL: 10.0, PUT: 10.0}, _POSITIVE,
+                          lambda name, kind: name in OPTIONS or (name, kind) == (CUSTOM, ARCTAN)),
+    "problem.maturity": Key("maturity", _float, 1.0, _POSITIVE),
+    "problem.gamma1": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
+    "problem.gamma2": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
+    "problem.gamma3": Key(CUSTOM_FIELD, _float, REQUIRED, None, _CUSTOM),
+    "problem.forcing": Key(CUSTOM_FIELD, _text, "0", None, _CUSTOM),
+    "problem.data": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
+    "problem.data_kind": Key(CUSTOM_FIELD, _choice(TERMINAL_PAYOFF, INITIAL_DATA), REQUIRED, None, _CUSTOM),
+    "problem.left_bc": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
+    "problem.right_bc": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
+    "problem.exact": Key(CUSTOM_FIELD, _text, None, None, _CUSTOM),
+    "map.kind": Key("map_kind", _choice(TRUNCATED, ARCTAN), REQUIRED),
+    "map.s_max": Key("s_max", _float, REQUIRED, _POSITIVE, _where(kinds=(TRUNCATED,))),
+    "map.l": Key("quantile", _float, 0.6, _OPEN_UNIT, _where(kinds=(ARCTAN,))),
+    "grid.n_steps": Key("n_steps", _int, REQUIRED, _at_least(1)),
+    "grid.alpha": Key("alpha", _float, 1.0, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
+    "grid.theta": Key("theta", _float, 1.0, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    "points.count": Key("n_points", _int, REQUIRED, _at_least(2)),
+    "network.n_hidden": Key("n_hidden", _int, REQUIRED, _at_least(1)),
+    "network.seed": Key("seed", _int, 0, _at_least(0)),
+    "network.init_scale": Key("init_scale", _float, 0.01, _POSITIVE),
+    "network.output_activation": Key("output_activation", _choice(IDENTITY, SIGMOID), IDENTITY),
+    "training.optimizer": Key("optimizer", _choice(*OPTIMIZERS), ADAM),
+    "training.eta": Key("eta", _float, 0.03, _OPEN_UNIT),
+    "training.epochs_first": Key("epochs_first", _int, 5000, _at_least(1)),
+    "training.epochs_rest": Key("epochs_rest", _int, 1200, _at_least(1)),
+    "output.dir": Key("out_dir", _text, "out"),
+    # every command reads the one config, so the command keys apply to every run
+    "compare.optimizers": Key("compare_optimizers", _names, OPTIMIZERS,
+                              (lambda v: v in OPTIMIZERS, f"each must be one of {OPTIMIZERS}")),
+    "sweep.alphas": Key("sweep_alphas", _floats, None, _OPEN_UNIT),
+    "lr.candidates": Key("lr_candidates", _floats, None, _OPEN_UNIT),
+    "lr.probe_epochs": Key("lr_probe_epochs", _int, 800, _at_least(1)),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; builders below turn it into solver objects."""
+    """Validated run description; builders below turn it into solver objects.
+    A field whose key does not apply to the run is None."""
 
     problem_name: str
-    rate: float
-    sigma: float
+    rate: Optional[float]
+    sigma: Optional[float]
     strike: Optional[float]
     maturity: float
-    custom: Dict[str, str]            # raw expression strings for custom problems
+    custom: Dict[str, Any]            # the custom problem's keys, by key
     map_kind: str
-    s_max: float
-    quantile: float
-    reference_price: Optional[float]
+    s_max: Optional[float]
+    quantile: Optional[float]
     n_steps: int
     alpha: float
     theta: float
@@ -168,193 +234,74 @@ class RunConfig:
     lr_probe_epochs: int
 
 
+def _resolve(raw: Dict[str, str], key: str, name: Optional[str]) -> Any:
+    """The value of an applicable key: parsed and range-checked, or its default."""
+    spec = KEYS[key]
+    if key not in raw:
+        default = spec.default.get(name, REQUIRED) if isinstance(spec.default, dict) else spec.default
+        if default is REQUIRED:
+            raise ConfigError(key, "required key is missing")
+        return default
+    value = spec.parse(key, raw[key])
+    if spec.rule is not None:
+        test, demand = spec.rule
+        for item in value if isinstance(value, tuple) else (value,):
+            if not test(item):
+                raise ConfigError(key, f"{demand}, got {item!r}")
+    return value
+
+
 def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
     """Validate a parsed key map into a RunConfig; ConfigError names the field."""
     for key in raw:
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(key, "unknown key")
+    name = _resolve(raw, "problem.name", None)
+    kind = _resolve(raw, "map.kind", name)
+    values: Dict[str, Any] = {CUSTOM_FIELD: {}, "plots": True}
+    for key, spec in KEYS.items():
+        if spec.applies(name, kind):
+            value = _resolve(raw, key, name)
+        elif key in raw:
+            raise ConfigError(key, f"does not apply to problem.name = {name} on map.kind = {kind}")
+        else:
+            value = None
+        if spec.field != CUSTOM_FIELD:
+            values[spec.field] = value
+        elif value is not None:
+            values[CUSTOM_FIELD][key] = value
+    cfg = RunConfig(**values)
 
-    name = _require(raw, "problem.name")
-    if name not in PROBLEM_NAMES:
-        raise ConfigError("problem.name", f"must be one of {PROBLEM_NAMES}, got {name!r}")
-
-    rate = _as_float(raw, "problem.rate", 0.05)
-    default_sigma = 0.25 if name == "fractional_manufactured" else 0.2
-    sigma = _as_float(raw, "problem.sigma", default_sigma)
-    strike = _as_float(raw, "problem.strike", 10.0 if name in ("european_call", "european_put") else None)
-    maturity = _as_float(raw, "problem.maturity", 1.0)
-    if not maturity > 0.0:
-        raise ConfigError("problem.maturity", f"must be positive, got {maturity}")
-    if name in ("european_call", "european_put"):
-        if not sigma > 0.0:
-            raise ConfigError("problem.sigma", f"must be positive, got {sigma}")
-        if strike is None or not strike > 0.0:
-            raise ConfigError("problem.strike", f"must be positive, got {strike}")
-        if rate < 0.0:
-            raise ConfigError("problem.rate", f"must be non-negative for {name}, got {rate}")
-
-    custom: Dict[str, str] = {}
-    if name == "custom":
-        for key in ("problem.gamma1", "problem.gamma2", "problem.gamma3",
-                    "problem.data", "problem.data_kind", "problem.left_bc",
-                    "problem.right_bc"):
-            custom[key] = _require(raw, key)
-        for key in ("problem.forcing", "problem.exact"):
-            if key in raw:
-                custom[key] = raw[key]
-        if custom["problem.data_kind"] not in (TERMINAL_PAYOFF, INITIAL_DATA):
-            raise ConfigError(
-                "problem.data_kind",
-                f"must be {TERMINAL_PAYOFF!r} or {INITIAL_DATA!r}, got {custom['problem.data_kind']!r}",
-            )
-        _as_float(raw, "problem.gamma3")  # numeric check up front
-    else:
-        for key in ("problem.gamma1", "problem.gamma2", "problem.gamma3",
-                    "problem.forcing", "problem.data", "problem.data_kind",
-                    "problem.left_bc", "problem.right_bc", "problem.exact"):
-            if key in raw:
-                raise ConfigError(key, f"only valid when problem.name = custom, not {name!r}")
-
-    map_kind = _require(raw, "map.kind")
-    if map_kind not in (TRUNCATED, ARCTAN):
-        raise ConfigError("map.kind", f"must be {TRUNCATED!r} or {ARCTAN!r}, got {map_kind!r}")
-    s_max = _as_float(raw, "map.s_max", 0.0)
-    if map_kind == TRUNCATED and not s_max > 0.0:
-        raise ConfigError("map.s_max", f"must be positive for truncated maps, got {s_max}")
-    quantile = _as_float(raw, "map.l", 0.6)
-    if not 0.0 < quantile < 1.0:
-        raise ConfigError("map.l", f"must lie in (0, 1), got {quantile}")
-    reference_price = _as_float(raw, "map.reference_price", None)
-    if map_kind == ARCTAN:
-        anchor = reference_price if reference_price is not None else strike
-        if anchor is None or not anchor > 0.0:
-            raise ConfigError(
-                "map.reference_price",
-                "arctan maps need a positive reference price (or problem.strike)",
-            )
-
-    n_steps = _as_int(raw, "grid.n_steps")
-    if n_steps is None or n_steps < 1:
-        raise ConfigError("grid.n_steps", f"must be an integer >= 1, got {raw.get('grid.n_steps')!r}")
-    alpha = _as_float(raw, "grid.alpha", 1.0)
-    if not 0.0 < alpha <= 1.0:
-        raise ConfigError("grid.alpha", f"must lie in (0, 1], got {alpha}")
-    theta = _as_float(raw, "grid.theta", 1.0)
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigError("grid.theta", f"must lie in [0, 1], got {theta}")
-    if alpha < 1.0 and theta != 1.0:
+    # the rules that tie one key to another
+    if name in OPTIONS:
+        if not cfg.sigma > 0.0:
+            raise ConfigError("problem.sigma", f"must be positive for {name}, got {cfg.sigma}")
+        if cfg.rate < 0.0:
+            raise ConfigError("problem.rate", f"must be non-negative for {name}, got {cfg.rate}")
+        if cfg.alpha != 1.0:
+            raise ConfigError("grid.alpha", f"{name} is an ordinary problem; set grid.alpha = 1")
+    if cfg.alpha < 1.0 and cfg.theta != 1.0:
         raise ConfigError("grid.theta", "fractional marching is implicit only; set theta = 1")
-    if name in ("european_call", "european_put") and alpha != 1.0:
-        raise ConfigError("grid.alpha", f"{name} is an ordinary problem; set grid.alpha = 1")
-    if name == "fractional_manufactured":
-        if not 0.0 < alpha < 1.0:
+    if name == FRACTIONAL:
+        if cfg.alpha == 1.0:
             raise ConfigError("grid.alpha", "fractional benchmark needs alpha in (0, 1)")
-        if map_kind != TRUNCATED or s_max != 1.0:
+        if cfg.s_max != 1.0:
             raise ConfigError("map.s_max", "fractional benchmark lives on [0, 1]; use truncated s_max = 1")
-
-    n_points = _as_int(raw, "points.count")
-    if n_points is None or n_points < 2:
-        raise ConfigError("points.count", f"must be an integer >= 2, got {raw.get('points.count')!r}")
-    if map_kind == ARCTAN:
+    if cfg.map_kind == ARCTAN:
+        n_points = cfg.n_points
         if n_points < 3:
             raise ConfigError("points.count", "arctan grids need at least 3 points")
         if (n_points - 2) / (n_points - 1) >= DomainMap.right_eval_point:
             raise ConfigError("points.count", f"with {n_points} points the last interior "
                               f"abscissa reaches the x = 1 surrogate {DomainMap.right_eval_point}")
-
-    n_hidden = _as_int(raw, "network.n_hidden")
-    if n_hidden is None or n_hidden < 1:
-        raise ConfigError("network.n_hidden", f"must be an integer >= 1, got {raw.get('network.n_hidden')!r}")
-    seed = _as_int(raw, "network.seed", 0)
-    if seed < 0:
-        raise ConfigError("network.seed", f"must be >= 0, got {seed}")
-    init_scale = _as_float(raw, "network.init_scale", 0.01)
-    if not init_scale > 0.0:
-        raise ConfigError("network.init_scale", f"must be positive, got {init_scale}")
-    output_activation = raw.get("network.output_activation", IDENTITY)
-    if output_activation not in (IDENTITY, SIGMOID):
-        raise ConfigError(
-            "network.output_activation",
-            f"must be {IDENTITY!r} or {SIGMOID!r}, got {output_activation!r}",
-        )
-
-    optimizer = raw.get("training.optimizer", "adam")
-    if optimizer not in OPTIMIZERS:
-        raise ConfigError("training.optimizer", f"must be one of {OPTIMIZERS}, got {optimizer!r}")
-    eta = _as_float(raw, "training.eta", 0.03)
-    if not 0.0 < eta < 1.0:
-        raise ConfigError("training.eta", f"must lie in (0, 1), got {eta}")
-    epochs_first = _as_int(raw, "training.epochs_first", 5000)
-    epochs_rest = _as_int(raw, "training.epochs_rest", 1200)
-    if epochs_first < 1:
-        raise ConfigError("training.epochs_first", f"must be >= 1, got {epochs_first}")
-    if epochs_rest < 1:
-        raise ConfigError("training.epochs_rest", f"must be >= 1, got {epochs_rest}")
-
-    out_dir = raw.get("output.dir", "out")
-
-    compare_raw = raw.get("compare.optimizers", "adam,sgd,rmsprop")
-    compare = tuple(piece.strip() for piece in compare_raw.split(",") if piece.strip())
-    if not compare:
-        raise ConfigError("compare.optimizers", "empty list")
-    for piece in compare:
-        if piece not in OPTIMIZERS:
-            raise ConfigError("compare.optimizers", f"unknown optimizer {piece!r}")
-    if len(set(compare)) != len(compare):
-        raise ConfigError("compare.optimizers", f"duplicate optimizer in {compare_raw!r}")
-
-    sweep_alphas = _as_floats(raw, "sweep.alphas")
-    if sweep_alphas is not None:
-        for a in sweep_alphas:
-            if not 0.0 < a < 1.0:
-                raise ConfigError("sweep.alphas", f"each alpha must lie in (0, 1), got {a}")
-
-    lr_candidates = _as_floats(raw, "lr.candidates")
-    if lr_candidates is not None:
-        for cand in lr_candidates:
-            if not 0.0 < cand < 1.0:
-                raise ConfigError("lr.candidates", f"each candidate must lie in (0, 1), got {cand}")
-    lr_probe_epochs = _as_int(raw, "lr.probe_epochs", 800)
-    if lr_probe_epochs < 1:
-        raise ConfigError("lr.probe_epochs", f"must be >= 1, got {lr_probe_epochs}")
-
-    _check_sizes(n_points, n_hidden, n_steps, epochs_first, epochs_rest, lr_probe_epochs)
-
-    return RunConfig(
-        problem_name=name,
-        rate=rate,
-        sigma=sigma,
-        strike=strike,
-        maturity=maturity,
-        custom=custom,
-        map_kind=map_kind,
-        s_max=s_max,
-        quantile=quantile,
-        reference_price=reference_price,
-        n_steps=n_steps,
-        alpha=alpha,
-        theta=theta,
-        n_points=n_points,
-        n_hidden=n_hidden,
-        seed=seed,
-        init_scale=init_scale,
-        output_activation=output_activation,
-        optimizer=optimizer,
-        eta=eta,
-        epochs_first=epochs_first,
-        epochs_rest=epochs_rest,
-        out_dir=out_dir,
-        plots=True,
-        compare_optimizers=compare,
-        sweep_alphas=sweep_alphas,
-        lr_candidates=lr_candidates,
-        lr_probe_epochs=lr_probe_epochs,
-    )
+    _check_sizes(cfg)
+    return cfg
 
 
-def _check_sizes(n_points, n_hidden, n_steps, epochs_first, epochs_rest, lr_probe_epochs) -> None:
+def _check_sizes(cfg: RunConfig) -> None:
     """Name the size key whose buffer would pass MAX_BUFFER_BYTES."""
     limit = MAX_BUFFER_BYTES
+    n_points, n_hidden, n_steps = cfg.n_points, cfg.n_hidden, cfg.n_steps
     if workspace_nbytes(n_points, 1) > limit:
         raise ConfigError("points.count", f"{n_points} points need a training workspace "
                           f"of more than {limit} bytes")
@@ -362,13 +309,13 @@ def _check_sizes(n_points, n_hidden, n_steps, epochs_first, epochs_rest, lr_prob
         raise ConfigError("network.n_hidden", f"{n_hidden} hidden units on {n_points} points "
                           f"need a training workspace of more than {limit} bytes")
     # a breakdown holds 4 doubles per epoch, plus the starting cost
-    for key, epochs in (("training.epochs_first", epochs_first),
-                        ("training.epochs_rest", epochs_rest),
-                        ("lr.probe_epochs", lr_probe_epochs)):
+    for key, epochs in (("training.epochs_first", cfg.epochs_first),
+                        ("training.epochs_rest", cfg.epochs_rest),
+                        ("lr.probe_epochs", cfg.lr_probe_epochs)):
         if 32 * (epochs + 1) > limit:
             raise ConfigError(key, f"the cost breakdown of {epochs} epochs passes {limit} bytes")
     # a solve keeps the solution surface and every step's breakdown
-    kept = 8 * (n_steps + 1) * n_points + 32 * (epochs_first + 1 + (n_steps - 1) * (epochs_rest + 1))
+    kept = 8 * (n_steps + 1) * n_points + 32 * (cfg.epochs_first + 1 + (n_steps - 1) * (cfg.epochs_rest + 1))
     if kept > limit:
         raise ConfigError("grid.n_steps", f"{n_steps} steps keep more than {limit} bytes "
                           "of solution surface and cost breakdowns")
@@ -383,26 +330,29 @@ def load_config(path: str) -> RunConfig:
     return config_from_mapping(parse_kv_text(text))
 
 
+def _expr(cfg: RunConfig, key: str, variables) -> Callable:
+    try:
+        fn = compile_expression(cfg.custom[key], variables)
+    except ExpressionError as exc:
+        raise ConfigError(key, str(exc)) from None
+    # an expression without S, such as "1", still gives one value per price
+    return lambda s, *t: np.broadcast_to(fn(s, *t), np.shape(s))
+
+
 def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
-    raw = dict(cfg.custom)
-    raw.setdefault("problem.forcing", "0")
-    gamma1 = _expr(raw, "problem.gamma1", ["S"])
-    gamma2 = _expr(raw, "problem.gamma2", ["S"])
-    gamma3 = float(raw["problem.gamma3"])
-    forcing = _expr(raw, "problem.forcing", ["S", "t"])
-    data = _expr(raw, "problem.data", ["S"])
-    left = _expr(raw, "problem.left_bc", ["S", "t"])
-    right = _expr(raw, "problem.right_bc", ["S", "t"])
-    exact = None
-    if "problem.exact" in raw:
-        exact = _expr(raw, "problem.exact", ["S", "t"])
+    gamma1 = _expr(cfg, "problem.gamma1", ["S"])
+    gamma2 = _expr(cfg, "problem.gamma2", ["S"])
+    forcing = _expr(cfg, "problem.forcing", ["S", "t"])
+    data = _expr(cfg, "problem.data", ["S"])
+    left = _expr(cfg, "problem.left_bc", ["S", "t"])
+    right = _expr(cfg, "problem.right_bc", ["S", "t"])
+    exact = _expr(cfg, "problem.exact", ["S", "t"]) if "problem.exact" in cfg.custom else None
 
     # a function that is not finite where training evaluates it would only
     # surface later as a diverged cost, so name its key here instead
     dmap = build_map(cfg)
-    s = from_x(dmap, build_collocation(dmap, cfg.n_points).points)
-    if dmap.kind == ARCTAN:
-        s = s[:-1]  # the x = 1 surrogate never enters training
+    colloc = build_collocation(dmap, cfg.n_points)
+    s = from_x(dmap, colloc.points)[: colloc.n_pde]
     samples = [("problem.gamma1", gamma1, (s,)), ("problem.gamma2", gamma2, (s,)),
                ("problem.data", data, (s,))]
     for t in (0.0, cfg.maturity):
@@ -415,40 +365,28 @@ def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
             if not np.all(np.isfinite(fn(*args))):
                 raise ConfigError(key, "is not finite at every training price point")
 
-    operator = SpatialOperator(gamma1=gamma1, gamma2=gamma2, gamma3=gamma3, forcing=forcing)
-    return ProblemSpec(
-        name="custom",
-        alpha=cfg.alpha,
-        rate=cfg.rate,
-        sigma=cfg.sigma,
-        maturity=cfg.maturity,
-        operator=operator,
-        data_kind=raw["problem.data_kind"],
-        data=data,
-        left_bc=lambda s, t: float(left(s, t)),
-        right_bc=lambda s, t: float(right(s, t)),
-        exact=exact,
-        strike=cfg.strike,
-    )
+    operator = SpatialOperator(gamma1=gamma1, gamma2=gamma2,
+                               gamma3=cfg.custom["problem.gamma3"], forcing=forcing)
+    return ProblemSpec(name=CUSTOM, alpha=cfg.alpha, maturity=cfg.maturity, operator=operator,
+                       data_kind=cfg.custom["problem.data_kind"], data=data,
+                       left_bc=left, right_bc=right, exact=exact)
 
 
 def build_problem(cfg: RunConfig, alpha: Optional[float] = None) -> ProblemSpec:
     """Instantiate the configured problem; alpha overrides for sweeps."""
-    a = cfg.alpha if alpha is None else alpha
-    if cfg.problem_name == "european_call":
+    if cfg.problem_name == CALL:
         return european_call(cfg.rate, cfg.sigma, cfg.strike, cfg.maturity)
-    if cfg.problem_name == "european_put":
+    if cfg.problem_name == PUT:
         return european_put(cfg.rate, cfg.sigma, cfg.strike, cfg.maturity)
-    if cfg.problem_name == "fractional_manufactured":
-        return fractional_manufactured(a, cfg.rate, cfg.sigma, cfg.maturity)
+    if cfg.problem_name == FRACTIONAL:
+        return fractional_manufactured(cfg.alpha if alpha is None else alpha, cfg.rate, cfg.sigma, cfg.maturity)
     return _build_custom_problem(cfg)
 
 
 def build_map(cfg: RunConfig) -> DomainMap:
     if cfg.map_kind == TRUNCATED:
         return truncated_map(cfg.s_max)
-    anchor = cfg.reference_price if cfg.reference_price is not None else cfg.strike
-    return make_arctan_map(anchor, cfg.quantile)
+    return make_arctan_map(cfg.strike, cfg.quantile)
 
 
 def build_grid(cfg: RunConfig) -> TimeGrid:
@@ -456,10 +394,5 @@ def build_grid(cfg: RunConfig) -> TimeGrid:
 
 
 def build_train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        optimizer=cfg.optimizer,
-        eta=cfg.eta,
-        epochs_first=cfg.epochs_first,
-        epochs_rest=cfg.epochs_rest,
-        seed=cfg.seed,
-    )
+    return TrainConfig(optimizer=cfg.optimizer, eta=cfg.eta, epochs_first=cfg.epochs_first,
+                       epochs_rest=cfg.epochs_rest, seed=cfg.seed)

@@ -46,8 +46,6 @@ class ProblemSpec:
 
     name: str
     alpha: float
-    rate: float
-    sigma: float
     maturity: float
     operator: SpatialOperator
     data_kind: str
@@ -68,9 +66,12 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class CollocationSet:
-    """Equidistant training abscissae in solver coordinates."""
+    """Training abscissae in solver coordinates. The residual rows are
+    points[:n_pde], with the boundary conditions at points 0 and n_pde - 1;
+    any later point is evaluated and reported but not trained on."""
 
     points: np.ndarray
+    n_pde: Optional[int] = None  # None: every point is a residual row
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -78,7 +79,11 @@ class CollocationSet:
             raise ValueError("need at least two collocation points")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("collocation points must be strictly increasing")
+        n_pde = pts.size if self.n_pde is None else self.n_pde
+        if not 2 <= n_pde <= pts.size:
+            raise ValueError(f"n_pde must lie in [2, {pts.size}], got {n_pde}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "n_pde", n_pde)
 
     @property
     def count(self) -> int:
@@ -143,8 +148,6 @@ def european_call(r: float, sigma: float, strike: float, maturity: float) -> Pro
     return ProblemSpec(
         name="european_call",
         alpha=1.0,
-        rate=r,
-        sigma=sigma,
         maturity=maturity,
         operator=_bs_operator(r, sigma),
         data_kind=TERMINAL_PAYOFF,
@@ -162,8 +165,6 @@ def european_put(r: float, sigma: float, strike: float, maturity: float) -> Prob
     return ProblemSpec(
         name="european_put",
         alpha=1.0,
-        rate=r,
-        sigma=sigma,
         maturity=maturity,
         operator=_bs_operator(r, sigma),
         data_kind=TERMINAL_PAYOFF,
@@ -218,8 +219,6 @@ def fractional_manufactured(
     return ProblemSpec(
         name="fractional_manufactured",
         alpha=alpha,
-        rate=r,
-        sigma=sigma,
         maturity=maturity,
         operator=SpatialOperator(
             gamma1=lambda s: np.full_like(np.asarray(s, dtype=float), a),

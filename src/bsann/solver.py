@@ -29,7 +29,8 @@ from .trainer import ProbeRun, TrainConfig, TrainingDiverged, probe_first_step, 
 
 
 def build_collocation(dmap: DomainMap, n_points: int) -> CollocationSet:
-    """Equidistant working grid; arctan grids get the x=1 surrogate substituted."""
+    """Equidistant working grid. Arctan grids get the x=1 surrogate substituted
+    as their last point, which is the one point outside the residual rows."""
     if dmap.kind == ARCTAN:
         if n_points < 3:
             raise ValueError("arctan grids need at least 3 points")
@@ -40,7 +41,7 @@ def build_collocation(dmap: DomainMap, n_points: int) -> CollocationSet:
                 f"abscissa {base[-2]}"
             )
         base[-1] = dmap.right_eval_point
-        return CollocationSet(points=base)
+        return CollocationSet(points=base, n_pde=n_points - 1)
     return collocation_points(0.0, dmap.s_max, n_points)
 
 
@@ -118,7 +119,7 @@ def solve(
         raise ValueError(f"theta must lie in [0, 1], and be 1 when alpha < 1; got {theta}")
     colloc = build_collocation(dmap, n_points)
     s_vals = from_x(dmap, colloc.points)
-    surrogate = colloc.count - 1 if dmap.kind == ARCTAN else None
+    surrogate = colloc.n_pde if colloc.n_pde < colloc.count else None
     history = StepHistory(problem.data(s_vals))
     params = init_params(n_hidden, cfg.seed, init_scale)
     # the map's chain-rule factors, for the old step's rhs when theta < 1

@@ -26,7 +26,7 @@ from typing import ClassVar, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .mapping import ARCTAN, DomainMap, from_x, jacobians
+from .mapping import DomainMap, from_x, jacobians
 from .network import (
     IDENTITY,
     NetworkParams,
@@ -156,21 +156,13 @@ def build_step_context(
         raise ValueError(f"history width {history.n_points} does not match {r} points")
     t_next = (step_index + 1) * grid.dt
 
-    if dmap.kind == ARCTAN:
-        # the last abscissa is the x=1 reporting surrogate: it stays out of
-        # the residual sum, and the far-field condition is imposed at the
-        # outermost finite grid point instead
-        if r < 3:
-            raise ValueError("arctan grids need at least 3 points")
-        pde_index = np.arange(r - 1)
-        right_index = r - 2
-    else:
-        pde_index = np.arange(r)
-        right_index = r - 1
-
-    x_pde = pts[pde_index]
+    # the residual rows and the boundary points are the collocation set's
+    # layout: the arctan surrogate past n_pde is never trained on
+    m = colloc.n_pde
+    right_index = m - 1
+    x_pde = pts[:m]
     s_pts = from_x(dmap, pts)
-    s_pde = s_pts[pde_index]
+    s_pde = s_pts[:m]
     upsilon, map_theta = jacobians(dmap, x_pde)
 
     g1 = np.asarray(problem.operator.gamma1(s_pde), dtype=float)
@@ -182,7 +174,7 @@ def build_step_context(
 
     # theta weights the new step's spatial operator; the old step's part
     # enters through rhs_old
-    c_t, acc = l1_history(grid, history, step_index, pde_index)
+    c_t, acc = l1_history(grid, history, step_index, slice(0, m))
     offset = c_t * acc - theta * f_vals
     if theta < 1.0:
         if rhs_old is None:
@@ -190,7 +182,7 @@ def build_step_context(
         rhs_old = np.asarray(rhs_old, dtype=float)
         if rhs_old.shape != (r,):
             raise ValueError("rhs_old must cover the full collocation grid")
-        offset = offset - (1.0 - theta) * rhs_old[pde_index]
+        offset = offset - (1.0 - theta) * rhs_old[:m]
 
     a_value = np.full_like(x_pde, c_t) - theta * g3
     a_d1 = -theta * (g1 * map_theta + g2) / upsilon
@@ -198,7 +190,7 @@ def build_step_context(
 
     return StepContext(
         points=pts,
-        n_pde=pde_index.size,
+        n_pde=m,
         a_value=a_value,
         a_d1=a_d1,
         a_d2=a_d2,

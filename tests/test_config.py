@@ -1,10 +1,13 @@
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
 
 from bsann.config import (
+    CUSTOM_FIELD,
+    KEYS,
     MAX_BUFFER_BYTES,
     ConfigError,
     build_grid,
@@ -16,7 +19,8 @@ from bsann.config import (
     parse_kv_text,
 )
 
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIG_DIR = os.path.join(ROOT, "configs")
 
 MINIMAL = {
     "problem.name": "european_call",
@@ -135,6 +139,14 @@ def test_fractional_defaults_differ():
         ({"problem.rate": "nan"}, "problem.rate"),
         ({"problem.rate": "-0.01"}, "problem.rate"),
         ({"compare.optimizers": "adam,adam,sgd"}, "compare.optimizers"),
+        # keys given where they do not apply
+        ({"map.kind": "arctan", "points.count": "10"}, "map.s_max"),
+        ({"map.l": "0.6"}, "map.l"),
+        ({"problem.name": "fractional_manufactured", "grid.alpha": "0.5", "map.s_max": "1",
+          "problem.strike": "10"}, "problem.strike"),
+        ({"problem.name": "custom", "problem.strike": "10"}, "problem.strike"),
+        ({"problem.name": "custom", "problem.rate": "0.05"}, "problem.rate"),
+        ({"map.reference_price": "10"}, "map.reference_price"),
     ],
 )
 def test_rejections_name_the_field(overrides, bad_field):
@@ -218,7 +230,7 @@ def test_arctan_constraints():
     assert info.value.field == "points.count"
     dmap = build_map(cfg)
     assert dmap.kind == "arctan" and dmap.right_eval_point == 0.9999999
-    # the strike anchors the map when no reference price is given
+    # the strike anchors the map
     assert dmap.length == pytest.approx(10.0 / np.tan(np.pi * 0.3), rel=1e-12)
 
 
@@ -320,6 +332,9 @@ def test_load_config_missing_file(tmp_path):
 def test_all_shipped_configs_parse():
     paths = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
     assert len(paths) == 4
+    # the benchmark's own configs must load as well
+    paths += sorted(glob.glob(os.path.join(ROOT, "bench", "workloads", "*.cfg")))
+    assert len(paths) == 6
     for path in paths:
         cfg = load_config(path)
         problem = build_problem(cfg, alpha=0.5 if cfg.problem_name == "fractional_manufactured" else None)
@@ -327,3 +342,14 @@ def test_all_shipped_configs_parse():
         build_grid(cfg)
         build_train_config(cfg)
         assert problem.maturity > 0.0
+
+
+def test_readme_configuration_table_lists_every_key():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+    custom = {key for key, spec in KEYS.items() if spec.field == CUSTOM_FIELD}
+    assert len(rows) == len(set(rows))
+    assert set(rows) == set(KEYS) - custom
+    # the custom keys are documented by the custom example block instead
+    assert custom <= set(re.findall(r"^(problem\.\w+) =", section, re.M))

@@ -46,9 +46,10 @@ CHOICES = {
     "problem.maturity": [None, "0", "1e-300", "1e300"],
     "problem.gamma1": [None, "S*S", "S/0", "log(S)", "1e308*S*S", "S +"],
     "problem.gamma3": [None, "-0.05", "nan", "1e308"],
-    "problem.data": [None, "max(S - 1, 0)", "exp(1000*S)"],
+    "problem.data": [None, "1", "max(S - 1, 0)", "exp(1000*S)"],
     "problem.data_kind": [None, "terminal_payoff", "other"],
     "problem.right_bc": [None, "S - t", "nan", "1e308"],
+    "problem.exact": [None, "1"],
     "map.kind": ["truncated", "arctan", "log"],
     "map.s_max": [None, "1", "0", "-3", "inf", "x"],
     "map.l": [None, "0", "1", "0.999999"],
@@ -98,6 +99,10 @@ def _lines(base, key, value):
 # as ValueError
 @example(_lines(0, "grid.theta", "0.5"), False, "compare")
 @example(_lines(0, "grid.theta", "0.5"), False, "lr-search")
+# custom functions without S used to give 0-d values: a data row that no
+# history takes, and an exact curve that the plot cannot draw
+@example(_lines(3, "problem.data", "1"), False, "lr-search")
+@example(_lines(3, "problem.exact", "1"), True, "solve")
 def test_solve_exits_with_a_documented_code(lines, plots, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")

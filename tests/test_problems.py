@@ -171,3 +171,6 @@ def test_collocation_validation():
         collocation_points(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         CollocationSet(points=np.array([0.0, 0.5, 0.5, 1.0]))
+    for n_pde in (1, 4):
+        with pytest.raises(ValueError):
+            CollocationSet(points=np.array([0.0, 0.5, 1.0]), n_pde=n_pde)

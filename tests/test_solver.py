@@ -32,8 +32,6 @@ def constant_problem(exact=True):
     return ProblemSpec(
         name="constant",
         alpha=1.0,
-        rate=0.0,
-        sigma=0.0,
         maturity=1.0,
         operator=op,
         data_kind=INITIAL_DATA,
@@ -55,7 +53,7 @@ def tiny_solve():
 
 def test_build_collocation_truncated():
     colloc = build_collocation(truncated_map(15.0), 150)
-    assert colloc.count == 150
+    assert colloc.count == 150 and colloc.n_pde == 150
     assert np.allclose(colloc.points, np.linspace(0.0, 15.0, 150))
 
 
@@ -65,6 +63,7 @@ def test_build_collocation_arctan_surrogate():
     base = np.linspace(0.0, 1.0, 10)
     assert np.allclose(colloc.points[:-1], base[:-1])
     assert colloc.points[-1] == dmap.right_eval_point
+    assert colloc.n_pde == 9  # the surrogate is no residual row
     with pytest.raises(ValueError):
         build_collocation(dmap, 2)
 

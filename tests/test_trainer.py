@@ -49,8 +49,6 @@ def constant_problem():
     return ProblemSpec(
         name="constant",
         alpha=1.0,
-        rate=0.0,
-        sigma=0.0,
         maturity=1.0,
         operator=op,
         data_kind=INITIAL_DATA,
