@@ -79,8 +79,8 @@ def _load(args, check: Optional[Callable[[RunConfig], None]] = None):
 
 
 def _solution_plots(out_dir: str, result: SolveResult) -> None:
-    """solution.svg, error.svg and cost.svg; a partial march, like errors.csv,
-    gets no exact curve and no error plot."""
+    """solution.svg, error.svg and cost.svg for a march with at least one
+    step; a partial march, like errors.csv, gets no exact curve and no error plot."""
     final = result.final_row()
     series = [LineSeries(result.s_points, result.surface[0], "data row")]
     t_final = result.grid.horizon
@@ -106,36 +106,31 @@ def _solution_plots(out_dir: str, result: SolveResult) -> None:
             y_label="abs error", log_y=True,
         )
     cost_series = []
-    for idx in (0, len(result.breakdowns) - 1):
-        if 0 <= idx < len(result.breakdowns):
-            trace = result.breakdowns[idx][:, 3]
-            cost_series.append(LineSeries(np.arange(trace.size), trace, f"step {idx + 1}"))
-            if len(result.breakdowns) == 1:
-                break
-    if cost_series:
-        write_line_plot(
-            os.path.join(out_dir, "cost.svg"), cost_series,
-            title="training cost", x_label="epoch", y_label="cost", log_y=True,
-        )
+    for i in sorted({0, len(result.breakdowns) - 1}):
+        trace = result.breakdowns[i][:, 3]
+        cost_series.append(LineSeries(np.arange(trace.size), trace, f"step {i + 1}"))
+    write_line_plot(
+        os.path.join(out_dir, "cost.svg"), cost_series,
+        title="training cost", x_label="epoch", y_label="cost", log_y=True,
+    )
 
 
 def cmd_solve(args) -> int:
     cfg, problem, dmap, grid, tcfg = _load(args)
+    diverged = None
     try:
         result = solve(
             problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
             cfg.theta, cfg.init_scale, cfg.output_activation,
         )
     except TrainingDiverged as exc:
-        if exc.partial is not None:
-            write_solution_outputs(cfg.out_dir, exc.partial)
-            if cfg.plots and exc.partial.breakdowns:
-                _solution_plots(cfg.out_dir, exc.partial)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        result, diverged = exc.partial, exc
     write_solution_outputs(cfg.out_dir, result)
-    if cfg.plots:
+    if cfg.plots and result.breakdowns:
         _solution_plots(cfg.out_dir, result)
+    if diverged is not None:
+        print(f"error: {diverged}", file=sys.stderr)
+        return EXIT_DIVERGED
     if problem.exact is not None:
         summary = error_metrics(result)
         print(f"max abs error {summary.max_abs:.6e}, mean {summary.mean_abs:.6e}")
@@ -145,13 +140,13 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, problem, dmap, grid, tcfg = _load(args)
-    comparison = compare_optimizers(
+    runs = compare_optimizers(
         problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
         cfg.compare_optimizers, cfg.init_scale, cfg.output_activation,
     )
     series = []
     rows = []
-    for name, run in comparison.runs.items():
+    for name, run in runs.items():
         write_cost_csv(os.path.join(cfg.out_dir, f"cost_{name}.csv"), run.breakdown)
         status = "diverged" if run.diverged_epoch is not None else "completed"
         div = "" if run.diverged_epoch is None else run.diverged_epoch
@@ -171,7 +166,7 @@ def cmd_compare(args) -> int:
             title=f"{problem.name}: first-step cost by optimizer",
             x_label="epoch", y_label="cost", log_y=True,
         )
-    if all(run.diverged_epoch is not None for run in comparison.runs.values()):
+    if all(run.diverged_epoch is not None for run in runs.values()):
         print("error: every optimizer diverged", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK

@@ -7,6 +7,10 @@ names, +, -, *, /, **, unary minus, and a handful of math calls. Anything
 else (attributes, subscripts, comprehensions, names outside the whitelist)
 is rejected at compile time, so config files cannot smuggle code.
 
+Compilation walks the tree once: each node is checked and turned into an
+evaluator closure, and numeric literals become float64 there, so an integer
+literal past the float range is a compile error.
+
 Compiled callables broadcast over numpy arrays. Scalars are evaluated as
 numpy float64 too, so a division by zero or an overflow gives inf or nan
 (with numpy's warning) rather than a Python exception.
@@ -48,36 +52,50 @@ _BINOPS = {
 }
 
 
-# _evaluate recurses once per level, from deep inside the solver's call
-# stack, so the depth stays far below the interpreter's recursion limit;
-# 200 is also CPython's limit on nested parentheses
+# an evaluator calls one level deeper per tree level, from deep inside the
+# solver's call stack, so the depth stays far below the interpreter's
+# recursion limit; 200 is also CPython's limit on nested parentheses
 _MAX_DEPTH = 200
 
 
-def _check(node: ast.AST, variables: Sequence[str], depth: int) -> None:
+def _compile(node: ast.AST, variables: Sequence[str], depth: int) -> Callable[[dict], object]:
+    """Check node against the grammar and return its evaluator, env -> value."""
     if depth > _MAX_DEPTH:
         raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels")
     depth += 1
     if isinstance(node, ast.Expression):
-        _check(node.body, variables, depth)
-    elif isinstance(node, ast.BinOp):
-        if type(node.op) not in _BINOPS:
+        return _compile(node.body, variables, depth)
+    if isinstance(node, ast.BinOp):
+        op = _BINOPS.get(type(node.op))
+        if op is None:
             raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-        _check(node.left, variables, depth)
-        _check(node.right, variables, depth)
-    elif isinstance(node, ast.UnaryOp):
+        left = _compile(node.left, variables, depth)
+        right = _compile(node.right, variables, depth)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             raise ExpressionError(f"operator {type(node.op).__name__} is not allowed")
-        _check(node.operand, variables, depth)
-    elif isinstance(node, ast.Constant):
+        operand = _compile(node.operand, variables, depth)
+        if isinstance(node.op, ast.USub):
+            return lambda env: -operand(env)
+        return lambda env: +operand(env)
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ExpressionError(f"constant {node.value!r} is not a number")
-    elif isinstance(node, ast.Name):
-        if node.id not in variables and node.id not in _CONSTANTS:
-            raise ExpressionError(
-                f"unknown name {node.id!r}; variables here are {tuple(variables)}"
-            )
-    elif isinstance(node, ast.Call):
+        try:
+            value = np.float64(node.value)
+        except OverflowError:
+            raise ExpressionError("integer constant is too large for a float") from None
+        return lambda env: value
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in variables:
+            return lambda env: env[name]
+        if name not in _CONSTANTS:
+            raise ExpressionError(f"unknown name {name!r}; variables here are {tuple(variables)}")
+        value = _CONSTANTS[name]
+        return lambda env: value
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ExpressionError("only calls to " + ", ".join(sorted(_FUNCTIONS)) + " are allowed")
         if node.keywords:
@@ -85,27 +103,9 @@ def _check(node: ast.AST, variables: Sequence[str], depth: int) -> None:
         arity = 2 if node.func.id in ("max", "min") else 1
         if len(node.args) != arity:
             raise ExpressionError(f"{node.func.id} takes exactly {arity} argument(s)")
-        for arg in node.args:
-            _check(arg, variables, depth)
-    else:
-        raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
-
-
-def _evaluate(node: ast.AST, env: dict):
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        val = _evaluate(node.operand, env)
-        return -val if isinstance(node.op, ast.USub) else +val
-    if isinstance(node, ast.Constant):
-        return np.float64(node.value)
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTANTS[node.id]
-    if isinstance(node, ast.Call):
         fn = _FUNCTIONS[node.func.id]
-        return fn(*[_evaluate(a, env) for a in node.args])
+        args = [_compile(arg, variables, depth) for arg in node.args]
+        return lambda env: fn(*[arg(env) for arg in args])
     raise ExpressionError(f"syntax {type(node).__name__} is not allowed")
 
 
@@ -126,14 +126,14 @@ def compile_expression(text: str, variables: Sequence[str]) -> Callable:
     except (RecursionError, MemoryError):
         # the parser gives up on deep nesting with either error
         raise ExpressionError(f"expression nests deeper than {_MAX_DEPTH} levels") from None
-    _check(tree, variables, 0)
+    evaluate = _compile(tree, variables, 0)
 
     def fn(*args):
         if len(args) != len(variables):
             raise TypeError(f"expected {len(variables)} argument(s), got {len(args)}")
         env = {name: np.asarray(val, dtype=float) if np.ndim(val) else np.float64(val)
                for name, val in zip(variables, args)}
-        return _evaluate(tree, env)
+        return evaluate(env)
 
     fn.__doc__ = f"compiled expression: {text!r} over {tuple(variables)}"
     return fn

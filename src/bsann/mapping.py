@@ -35,7 +35,6 @@ class DomainMap:
     kind: str
     s_max: float = 0.0          # truncated mode: right edge of the price grid
     length: float = 0.0         # arctan mode: characteristic length L
-    quantile: float = 0.6       # arctan mode: x-position of the reference price
     # arctan mode: the far-field surrogate abscissa standing in for x = 1
     right_eval_point: ClassVar[float] = 0.9999999
 
@@ -59,7 +58,7 @@ def make_arctan_map(reference_price: float, quantile: float = 0.6) -> DomainMap:
     if not 0.0 < quantile < 1.0:
         raise ValueError(f"quantile must lie in (0, 1), got {quantile}")
     length = reference_price / math.tan(math.pi * quantile / 2.0)
-    return DomainMap(kind=ARCTAN, length=length, quantile=quantile)
+    return DomainMap(kind=ARCTAN, length=length)
 
 
 def to_x(dmap: DomainMap, s):

@@ -53,7 +53,6 @@ class ProblemSpec:
     left_bc: Callable[[float, float], float]   # (S_boundary, march time) -> value
     right_bc: Callable[[float, float], float]
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    strike: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -99,37 +98,23 @@ def collocation_points(lo: float, hi: float, count: int) -> CollocationSet:
     return CollocationSet(points=np.linspace(lo, hi, count))
 
 
-def _bs_call_exact(s, tau: float, r: float, sigma: float, k: float):
+def _bs_exact(s, tau: float, r: float, sigma: float, k: float, sign: float):
+    """Black-Scholes price sign * (S N(sign d1) - K e^(-r tau) N(sign (d1 - vol))) of a
+    call (sign = 1) or put (sign = -1), vol = sigma sqrt(tau); the payoff at tau <= 0,
+    the S -> 0 limit at S <= 0. The sign products are exact negations."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if tau <= 0.0:
-        out = np.maximum(s_arr - k, 0.0)
+        out = np.maximum(sign * s_arr - sign * k, 0.0)
         return out if np.ndim(s) else float(out[0])
     disc = k * math.exp(-r * tau)
     vol = sigma * math.sqrt(tau)
     out = np.empty_like(s_arr)
     for i, si in enumerate(s_arr):
         if si <= 0.0:
-            out[i] = 0.0
+            out[i] = 0.0 if sign > 0 else disc
             continue
         d1 = (math.log(si / k) + (r + 0.5 * sigma * sigma) * tau) / vol
-        out[i] = si * normal_cdf(d1) - disc * normal_cdf(d1 - vol)
-    return out if np.ndim(s) else float(out[0])
-
-
-def _bs_put_exact(s, tau: float, r: float, sigma: float, k: float):
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    if tau <= 0.0:
-        out = np.maximum(k - s_arr, 0.0)
-        return out if np.ndim(s) else float(out[0])
-    disc = k * math.exp(-r * tau)
-    vol = sigma * math.sqrt(tau)
-    out = np.empty_like(s_arr)
-    for i, si in enumerate(s_arr):
-        if si <= 0.0:
-            out[i] = disc
-            continue
-        d1 = (math.log(si / k) + (r + 0.5 * sigma * sigma) * tau) / vol
-        out[i] = disc * normal_cdf(vol - d1) - si * normal_cdf(-d1)
+        out[i] = sign * si * normal_cdf(sign * d1) - sign * disc * normal_cdf(sign * (d1 - vol))
     return out if np.ndim(s) else float(out[0])
 
 
@@ -154,8 +139,7 @@ def european_call(r: float, sigma: float, strike: float, maturity: float) -> Pro
         data=lambda s: np.maximum(np.asarray(s, dtype=float) - strike, 0.0),
         left_bc=lambda s, tau: 0.0,
         right_bc=lambda s, tau: s - strike * math.exp(-r * tau),
-        exact=lambda s, tau: _bs_call_exact(s, tau, r, sigma, strike),
-        strike=strike,
+        exact=lambda s, tau: _bs_exact(s, tau, r, sigma, strike, 1.0),
     )
 
 
@@ -171,8 +155,7 @@ def european_put(r: float, sigma: float, strike: float, maturity: float) -> Prob
         data=lambda s: np.maximum(strike - np.asarray(s, dtype=float), 0.0),
         left_bc=lambda s, tau: strike * math.exp(-r * tau),
         right_bc=lambda s, tau: 0.0,
-        exact=lambda s, tau: _bs_put_exact(s, tau, r, sigma, strike),
-        strike=strike,
+        exact=lambda s, tau: _bs_exact(s, tau, r, sigma, strike, -1.0),
     )
 
 

@@ -56,9 +56,13 @@ class SolveResult:
     params_per_step: Tuple[NetworkParams, ...]
     breakdowns: Tuple[np.ndarray, ...]       # per step, (epochs+1, 4)
     wall_times: np.ndarray                   # seconds per step
-    surrogate_index: Optional[int]
     theta: float = 1.0
     output_activation: str = IDENTITY
+
+    @property
+    def surrogate_index(self) -> Optional[int]:
+        """Column of the arctan grid's x = 1 surrogate; None without one."""
+        return self.colloc.n_pde if self.colloc.n_pde < self.colloc.count else None
 
     @property
     def natural_times(self) -> np.ndarray:
@@ -119,7 +123,6 @@ def solve(
         raise ValueError(f"theta must lie in [0, 1], and be 1 when alpha < 1; got {theta}")
     colloc = build_collocation(dmap, n_points)
     s_vals = from_x(dmap, colloc.points)
-    surrogate = colloc.n_pde if colloc.n_pde < colloc.count else None
     history = StepHistory(problem.data(s_vals))
     params = init_params(n_hidden, cfg.seed, init_scale)
     # the map's chain-rule factors, for the old step's rhs when theta < 1
@@ -141,7 +144,6 @@ def solve(
             params_per_step=tuple(snapshots),
             breakdowns=tuple(breakdowns),
             wall_times=np.asarray(walls),
-            surrogate_index=surrogate,
             theta=theta,
             output_activation=output_activation,
         )
@@ -154,11 +156,8 @@ def solve(
                 theta if k > START_STEPS else 1.0, rhs_old, output_activation,
             )
         except TrainingDiverged as exc:
-            err = TrainingDiverged(
-                epoch=exc.epoch, cost=exc.cost, step_index=k - 1, breakdown=exc.breakdown
-            )
-            err.partial = result()
-            raise err from exc
+            exc.partial = result()
+            raise
         walls.append(time.perf_counter() - t0)
         params = res.params
         val, d1, d2 = eval_batch(params, colloc.points, output_activation)
@@ -202,12 +201,6 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
     )
 
 
-@dataclass(frozen=True)
-class OptimizerComparison:
-    runs: Dict[str, ProbeRun]
-    s_points: np.ndarray
-
-
 def compare_optimizers(
     problem: ProblemSpec,
     dmap: DomainMap,
@@ -218,21 +211,19 @@ def compare_optimizers(
     optimizers: Sequence[str] = ("adam", "sgd", "rmsprop"),
     init_scale: float = 0.01,
     output_activation: str = IDENTITY,
-) -> OptimizerComparison:
+) -> Dict[str, ProbeRun]:
     """Train the first marching step under each optimizer from one shared start.
 
-    The first step is backward Euler for every theta, so the comparison has
-    no theta. Divergence of an optimizer is recorded as a truncated trace,
-    never raised.
+    Returns {optimizer name: ProbeRun}. The first step is backward Euler for
+    every theta, so the comparison has no theta. Divergence of an optimizer
+    is recorded as a truncated trace, never raised.
     """
     colloc = build_collocation(dmap, n_points)
     probes = probe_first_step(
         problem, dmap, grid, colloc, n_hidden, cfg,
         [dict(optimizer=name) for name in optimizers], init_scale, output_activation,
     )
-    return OptimizerComparison(
-        runs=dict(zip(optimizers, probes)), s_points=from_x(dmap, colloc.points)
-    )
+    return dict(zip(optimizers, probes))
 
 
 @dataclass(frozen=True)
@@ -266,8 +257,8 @@ def sweep_alpha(
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
+    s_pts = from_x(dmap, build_collocation(dmap, n_points).points)
     entries = []
-    s_pts = None
     for alpha in alphas:
         problem = problem_family(float(alpha))
         grid = make_time_grid(n_steps, problem.maturity, problem.alpha)
@@ -276,8 +267,6 @@ def sweep_alpha(
                 problem, dmap, grid, n_hidden, n_points, cfg,
                 1.0, init_scale, output_activation,
             )
-            if s_pts is None:
-                s_pts = result.s_points
             max_err = None
             if problem.exact is not None:
                 max_err = error_metrics(result).max_abs
@@ -285,8 +274,6 @@ def sweep_alpha(
                 SweepEntry(alpha=float(alpha), final_row=result.final_row(), max_abs_error=max_err)
             )
         except TrainingDiverged as exc:
-            if s_pts is None and exc.partial is not None:
-                s_pts = exc.partial.s_points
             entries.append(
                 SweepEntry(
                     alpha=float(alpha),
@@ -295,8 +282,6 @@ def sweep_alpha(
                     failure=f"diverged in step {exc.step_index} at epoch {exc.epoch}",
                 )
             )
-    if s_pts is None:
-        s_pts = from_x(dmap, build_collocation(dmap, n_points).points)
     return SweepResult(s_points=s_pts, entries=tuple(entries))
 
 

@@ -18,7 +18,7 @@ previous step's network, so the data row is never differentiated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
@@ -40,12 +40,13 @@ def b_weights(alpha: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with the memory weights for its fractional order."""
+    """Uniform time grid with the memory weights for its fractional order:
+    b = b_weights(alpha, n_steps), one per step, for alpha < 1 and empty at alpha = 1."""
 
     n_steps: int
     dt: float
     alpha: float
-    b: np.ndarray
+    b: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -54,7 +55,8 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        b = b_weights(self.alpha, self.n_steps) if self.alpha < 1.0 else np.empty(0)
+        object.__setattr__(self, "b", b)
 
     @property
     def horizon(self) -> float:
@@ -70,8 +72,7 @@ def make_time_grid(n_steps: int, horizon: float, alpha: float = 1.0) -> TimeGrid
         raise ValueError(f"horizon must be positive, got {horizon}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    b = b_weights(alpha, n_steps) if alpha < 1.0 else np.empty(0)
-    return TimeGrid(n_steps=n_steps, dt=horizon / n_steps, alpha=alpha, b=b)
+    return TimeGrid(n_steps=n_steps, dt=horizon / n_steps, alpha=alpha)
 
 
 class StepHistory:
@@ -154,8 +155,11 @@ def l1_history(
         coef = 1 / (Gamma(2-alpha) dt^alpha),
 
     restricted to the given history columns. At alpha = 1 the memory sum
-    vanishes and coef = 1/dt (backward Euler).
+    vanishes and coef = 1/dt (backward Euler). n must name a step of the
+    grid, 0 <= n < grid.n_steps.
     """
+    if n >= grid.n_steps:
+        raise ValueError(f"step index {n} is past the grid's last step {grid.n_steps - 1}")
     if n < 0 or history.steps_completed < n:
         raise ValueError(f"history holds steps 0..{history.steps_completed}, need 0..{n}")
     acc = -history.row(n)[columns]
@@ -163,11 +167,10 @@ def l1_history(
         return 1.0 / grid.dt, acc
     coef = 1.0 / (math.gamma(2.0 - grid.alpha) * grid.dt**grid.alpha)
     if n >= 1:
-        b = grid.b if grid.b.size >= n + 1 else b_weights(grid.alpha, n + 1)
         rows = history.values()[: n + 1, columns]
         diffs = rows[1:] - rows[:-1]  # diffs[j] = row_{j+1} - row_j
         # sum_{m=1}^{n} b_m diffs[n-m] with the weights reversed onto j = 0..n-1
-        acc = acc + b[1 : n + 1][::-1] @ diffs
+        acc = acc + grid.b[1 : n + 1][::-1] @ diffs
     return coef, acc
 
 

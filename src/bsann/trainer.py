@@ -14,7 +14,7 @@ no finite differences of the candidate network appear anywhere.
 Training is deterministic full-batch gradient descent in one of three
 flavours (adam, sgd, rmsprop) on the flat parameter vector. A step whose
 cost leaves [0, 1e12] or stops being finite raises TrainingDiverged with the
-epoch index and the breakdown recorded so far.
+step and epoch indices and the breakdown recorded so far.
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ DIVERGENCE_LIMIT = 1e12
 class TrainingDiverged(RuntimeError):
     """Raised when the training cost stops being finite or passes the limit."""
 
-    def __init__(self, epoch: int, cost: float, step_index: Optional[int] = None, breakdown=None):
+    def __init__(self, epoch: int, cost: float, step_index: int, breakdown: np.ndarray):
         self.epoch = epoch
         self.cost = cost
         self.step_index = step_index
         self.breakdown = breakdown
-        self.partial = None  # filled by the solver with results up to the failed step
-        where = f" at marching step {step_index}" if step_index is not None else ""
-        super().__init__(f"training diverged{where} at epoch {epoch} (cost {cost!r})")
+        self.partial = None  # filled by solve with the results up to the failed step
+        super().__init__(
+            f"training diverged at marching step {step_index} at epoch {epoch} (cost {cost!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,8 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class StepContext:
-    """Everything constant over one step's training loop."""
+    """Everything constant over one step's training loop. The boundary conditions
+    sit at points 0 and n_pde - 1; the residual sum is divided by 2 * points.size."""
 
     points: np.ndarray        # solver-coordinate abscissae, all r of them
     n_pde: int                # the residual sum runs over points[:n_pde]
@@ -125,9 +127,6 @@ class StepContext:
     a_d1: np.ndarray
     a_d2: np.ndarray
     offset: np.ndarray
-    r_norm: int
-    left_index: int
-    right_index: int
     left_target: float
     right_target: float
     output_activation: str
@@ -159,7 +158,6 @@ def build_step_context(
     # the residual rows and the boundary points are the collocation set's
     # layout: the arctan surrogate past n_pde is never trained on
     m = colloc.n_pde
-    right_index = m - 1
     x_pde = pts[:m]
     s_pts = from_x(dmap, pts)
     s_pde = s_pts[:m]
@@ -195,11 +193,8 @@ def build_step_context(
         a_d1=a_d1,
         a_d2=a_d2,
         offset=offset,
-        r_norm=r,
-        left_index=0,
-        right_index=right_index,
         left_target=float(problem.left_bc(float(s_pts[0]), t_next)),
-        right_target=float(problem.right_bc(float(s_pts[right_index]), t_next)),
+        right_target=float(problem.right_bc(float(s_pts[m - 1]), t_next)),
         output_activation=output_activation,
     )
 
@@ -277,8 +272,8 @@ def _group_columns(ctx: StepContext, ws: _Workspace, group: int) -> None:
     t1 += t2
     np.multiply(c_d2, g_d2[:m], out=t2)
     np.add(t1, t2, out=jac)
-    np.copyto(left, g_val[ctx.left_index])
-    np.copyto(right, g_val[ctx.right_index])
+    np.copyto(left, g_val[0])
+    np.copyto(right, g_val[m - 1])
 
 
 def _context_cost_grad(
@@ -297,9 +292,9 @@ def _context_cost_grad(
     np.multiply(ctx.a_d2, d2[:m], out=term)
     resid += term
     resid += ctx.offset
-    left_miss = float(val[ctx.left_index] - ctx.left_target)
-    right_miss = float(val[ctx.right_index] - ctx.right_target)
-    pde = float(resid @ resid) / (2.0 * ctx.r_norm)
+    left_miss = float(val[0] - ctx.left_target)
+    right_miss = float(val[m - 1] - ctx.right_target)
+    pde = float(resid @ resid) / (2.0 * ctx.points.size)
     left_sq, right_sq = pow_or_inf(left_miss, 2), pow_or_inf(right_miss, 2)
     row[0] = pde
     row[1] = left_sq
@@ -312,7 +307,7 @@ def _context_cost_grad(
     # (resid @ jac) / r + 2*left_miss*g_value[left] + 2*right_miss*g_value[right]
     out, scaled = ws.grad, ws.scaled
     np.matmul(resid, ws.jac, out=out)
-    out /= ctx.r_norm
+    out /= ctx.points.size
     np.multiply(ws.rows[0], 2.0 * left_miss, out=scaled)
     out += scaled
     np.multiply(ws.rows[1], 2.0 * right_miss, out=scaled)
@@ -478,7 +473,7 @@ def train_step_network(
         grad = _context_cost_grad(ctx, flat, n, ws, breakdown[e], e < epochs)
         total = float(breakdown[e, 3])
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
-            raise TrainingDiverged(epoch=e, cost=total, breakdown=breakdown[: e + 1].copy())
+            raise TrainingDiverged(e, total, step_index, breakdown[: e + 1].copy())
         if grad is not None:
             step_fn(state, flat, grad, cfg)
     return StepTrainResult(params=NetworkParams.from_flat(flat, n), breakdown=breakdown)

@@ -94,15 +94,15 @@ def blocks_cost_gradient(ctx, flat, n):
 
     m = ctx.n_pde
     resid = ctx.a_value * val[:m] + ctx.a_d1 * d1[:m] + ctx.a_d2 * d2[:m] + ctx.offset
-    left_miss = float(val[ctx.left_index] - ctx.left_target)
-    right_miss = float(val[ctx.right_index] - ctx.right_target)
+    left_miss = float(val[0] - ctx.left_target)
+    right_miss = float(val[m - 1] - ctx.right_target)
     coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], 3 * n + 1, axis=2)
     jac = np.multiply(coef[0], g_val[:m])
     jac += coef[1] * g_d1[:m]
     jac += coef[2] * g_d2[:m]
     grad = (
-        (resid @ jac) / ctx.r_norm
-        + 2.0 * left_miss * g_val[ctx.left_index]
-        + 2.0 * right_miss * g_val[ctx.right_index]
+        (resid @ jac) / ctx.points.size
+        + 2.0 * left_miss * g_val[0]
+        + 2.0 * right_miss * g_val[m - 1]
     )
-    return grad, jac, g_val[[ctx.left_index, ctx.right_index]]
+    return grad, jac, g_val[[0, m - 1]]

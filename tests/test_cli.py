@@ -164,8 +164,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("problem.gamma1", "S/0"),
         ("problem.data", "log(S)"),  # the grid starts at S = 0
         ("problem.gamma3", "nan"),
+        ("problem.data", "max(S - 10, 0) + 1" + "0" * 400 + " * 0"),
     ],
-    ids=["deep-sum", "deep-negation", "division-by-zero", "log-at-zero", "nan-gamma3"],
+    ids=["deep-sum", "deep-negation", "division-by-zero", "log-at-zero", "nan-gamma3",
+         "huge-integer"],
 )
 def test_unusable_custom_functions_exit_2(tmp_path, capsys, key, text):
     defaults = {"problem.gamma1": "0*S", "problem.data": "1 + 0*S", "problem.gamma3": "0"}

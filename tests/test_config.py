@@ -320,7 +320,7 @@ def test_builders_agree_with_config():
     dmap = build_map(cfg)
     assert dmap.kind == "truncated" and dmap.s_max == 15.0
     problem = build_problem(cfg)
-    assert problem.name == "european_call" and problem.strike == 10.0
+    assert problem.name == "european_call" and problem.data(12.0) == 2.0
 
 
 def test_load_config_missing_file(tmp_path):

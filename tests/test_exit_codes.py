@@ -103,6 +103,8 @@ def _lines(base, key, value):
 # history takes, and an exact curve that the plot cannot draw
 @example(_lines(3, "problem.data", "1"), False, "lr-search")
 @example(_lines(3, "problem.exact", "1"), True, "solve")
+# an integer literal past the float range used to escape as OverflowError
+@example(_lines(3, "problem.data", "max(S - 10, 0) + 1" + "0" * 400 + " * 0"), False, "solve")
 def test_solve_exits_with_a_documented_code(lines, plots, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")

@@ -77,6 +77,7 @@ def test_argument_count_enforced():
         ("S +", "cannot parse"),
         ("-" * 201 + "S", "nests deeper than 200"),
         ("+".join(["S"] * 202), "nests deeper than 200"),
+        ("max(S - 10, 0) + 1" + "0" * 400 + " * 0", "too large for a float"),
     ],
 )
 def test_rejected_syntax(text, fragment):

@@ -25,7 +25,6 @@ def test_call_payoff_and_metadata():
     assert np.array_equal(CALL.data(np.array([0.0, 10.0, 15.0])), [0.0, 0.0, 5.0])
     assert CALL.data_kind == TERMINAL_PAYOFF
     assert CALL.alpha == 1.0
-    assert CALL.strike == 10.0
 
 
 def test_call_exact_frozen_value():

@@ -217,8 +217,8 @@ def test_compare_optimizers_shares_the_start():
     grid = make_time_grid(2, 1.0, 1.0)
     cfg = TrainConfig(eta=0.01, epochs_first=50, epochs_rest=20, seed=4)
     comp = compare_optimizers(problem, dmap, grid, 4, 10, cfg, optimizers=("adam", "sgd"))
-    assert set(comp.runs) == {"adam", "sgd"}
-    a, s = comp.runs["adam"], comp.runs["sgd"]
+    assert set(comp) == {"adam", "sgd"}
+    a, s = comp["adam"], comp["sgd"]
     assert a.trace[0] == s.trace[0]
     assert a.diverged_epoch is None and s.diverged_epoch is None
     assert a.breakdown.shape == (51, 4)
@@ -232,11 +232,11 @@ def test_compare_optimizers_records_divergence():
     comp = compare_optimizers(
         problem, truncated_map(15.0), grid, 20, 150, cfg, optimizers=("adam", "sgd")
     )
-    assert comp.runs["adam"].diverged_epoch is None
-    sgd = comp.runs["sgd"]
+    assert comp["adam"].diverged_epoch is None
+    sgd = comp["sgd"]
     assert sgd.diverged_epoch is not None
     assert sgd.breakdown.shape[0] == sgd.diverged_epoch + 1
-    assert sgd.trace[-1] > comp.runs["adam"].trace[-1]
+    assert sgd.trace[-1] > comp["adam"].trace[-1]
 
 
 def test_sweep_alpha_entries():

@@ -6,8 +6,10 @@ import pytest
 from bsann.stepper import (
     SpatialOperator,
     StepHistory,
+    TimeGrid,
     b_weights,
     caputo_residual,
+    l1_history,
     make_time_grid,
     spatial_rhs,
 )
@@ -73,6 +75,23 @@ def test_make_time_grid():
 def test_time_grid_alpha_one_has_no_memory_weights():
     grid = make_time_grid(4, 1.0, 1.0)
     assert grid.b.size == 0
+
+
+def test_time_grid_derives_its_memory_weights():
+    for n in (1, 7):
+        assert np.array_equal(TimeGrid(n, 0.1, 0.4).b, b_weights(0.4, n))
+        assert TimeGrid(n, 0.1, 1.0).b.size == 0
+
+
+def test_l1_history_rejects_steps_past_the_grid():
+    for alpha in (0.5, 1.0):
+        grid = make_time_grid(3, 1.0, alpha)
+        hist = StepHistory(np.zeros(2))
+        for k in range(1, 4):
+            hist.append(np.full(2, float(k)))
+        l1_history(grid, hist, 2)
+        with pytest.raises(ValueError, match="past the grid"):
+            l1_history(grid, hist, 3)
 
 
 def test_time_grid_validation():

@@ -435,6 +435,21 @@ def test_training_divergence_is_reported():
     assert not np.isfinite(exc.cost) or exc.cost > 1e12
 
 
+def test_training_divergence_names_its_step():
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = truncated_map(15.0)
+    grid = make_time_grid(20, 1.0, 1.0)
+    colloc = build_collocation(dmap, 150)
+    history = StepHistory(problem.data(colloc.points))
+    history.append(history.row(0))
+    cfg = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=5000, epochs_rest=1200, seed=0)
+    with pytest.raises(TrainingDiverged) as info:
+        train_step_network(init_params(20, cfg.seed, 0.01), problem, dmap, grid, colloc,
+                           history, 1, cfg)
+    assert info.value.step_index == 1
+    assert "marching step 1" in str(info.value)
+
+
 def test_lr_grid_search_picks_lowest_cost():
     problem = constant_problem()
     dmap = truncated_map(2.0)
