@@ -14,7 +14,6 @@ from .problems import (
 )
 from .solver import (
     SolveResult,
-    compare_optimizers,
     error_metrics,
     history_at,
     read_csv,
@@ -31,6 +30,7 @@ from .trainer import (
     adam_step,
     cost_gradient,
     lr_grid_search,
+    probe_first_step,
     rmsprop_step,
     sgd_step,
     step_cost,

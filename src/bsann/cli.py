@@ -2,14 +2,20 @@
 
 Subcommands:
     solve        march a configured problem and write the CSV/SVG artifact set
-    compare      train the first step under adam, sgd and rmsprop
+    compare      train the first step under each compare.optimizers entry
     sweep-alpha  solve the fractional benchmark across several alpha values
     lr-search    grid-search the learning rate on truncated probe runs
     selftest     run a fast invariant suite and print PASS/FAIL lines
 
+compare and lr-search format their rows, plots and messages from the
+ProbeRun records of trainer.probe_first_step; sweep-alpha from each alpha's
+SolveResult or TrainingDiverged. Every run is reported as completed or
+diverged.
+
 Exit statuses: 0 success, 2 configuration error, 3 training diverged
-(partial outputs are still written), 1 selftest failure. No other nonzero
-codes escape.
+(solve: the march; compare and lr-search: every run; sweep-alpha: any
+alpha), 1 selftest failure. On exit 3 the partial outputs are still
+written. No other nonzero codes escape.
 """
 
 from __future__ import annotations
@@ -37,14 +43,13 @@ from .plots import LineSeries, write_line_plot
 from .solver import (
     SolveResult,
     build_collocation,
-    compare_optimizers,
     error_metrics,
     solve,
     sweep_alpha,
     write_cost_csv,
     write_solution_outputs,
 )
-from .trainer import LrSearchFailed, TrainingDiverged, lr_grid_search
+from .trainer import TrainingDiverged, lr_grid_search, probe_first_step
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -140,13 +145,14 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg, problem, dmap, grid, tcfg = _load(args)
-    runs = compare_optimizers(
-        problem, dmap, grid, cfg.n_hidden, cfg.n_points, tcfg,
-        cfg.compare_optimizers, cfg.init_scale, cfg.output_activation,
+    runs = probe_first_step(
+        problem, dmap, grid, build_collocation(dmap, cfg.n_points), cfg.n_hidden, tcfg,
+        [dict(optimizer=name) for name in cfg.compare_optimizers],
+        cfg.init_scale, cfg.output_activation,
     )
     series = []
     rows = []
-    for name, run in runs.items():
+    for name, run in zip(cfg.compare_optimizers, runs):
         write_cost_csv(os.path.join(cfg.out_dir, f"cost_{name}.csv"), run.breakdown)
         status = "diverged" if run.diverged_epoch is not None else "completed"
         div = "" if run.diverged_epoch is None else run.diverged_epoch
@@ -166,7 +172,7 @@ def cmd_compare(args) -> int:
             title=f"{problem.name}: first-step cost by optimizer",
             x_label="epoch", y_label="cost", log_y=True,
         )
-    if all(run.diverged_epoch is not None for run in runs.values()):
+    if all(run.diverged_epoch is not None for run in runs):
         print("error: every optimizer diverged", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
@@ -181,36 +187,40 @@ def _check_sweep_alpha(cfg: RunConfig) -> None:
 
 def cmd_sweep_alpha(args) -> int:
     cfg, _, dmap, _, tcfg = _load(args, _check_sweep_alpha)
-    result = sweep_alpha(
+    outcomes = sweep_alpha(
         lambda alpha: build_problem(cfg, alpha=alpha), cfg.sweep_alphas, dmap, cfg.n_steps,
         cfg.n_hidden, cfg.n_points, tcfg, cfg.init_scale, cfg.output_activation,
     )
-    ok_entries = [e for e in result.entries if e.final_row is not None]
+    # a diverged alpha carries its partial result, on the same collocation grid
+    first = outcomes[0]
+    s_points = (first.partial if isinstance(first, TrainingDiverged) else first).s_points
+    done = [(a, o) for a, o in zip(cfg.sweep_alphas, outcomes) if isinstance(o, SolveResult)]
     write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
-        ["S"] + [f"alpha_{e.alpha:g}" for e in ok_entries],
-        np.column_stack([result.s_points] + [e.final_row for e in ok_entries]).tolist(),
+        ["S"] + [f"alpha_{a:g}" for a, _ in done],
+        np.column_stack([s_points] + [o.final_row() for _, o in done]).tolist(),
     )
+    status_rows = []
+    for alpha, o in zip(cfg.sweep_alphas, outcomes):
+        if isinstance(o, TrainingDiverged):
+            note = f"diverged in step {o.step_index} at epoch {o.epoch}"
+            status_rows.append((alpha, note, ""))
+        else:
+            max_abs = error_metrics(o).max_abs
+            note = f"max abs error {max_abs:.6e}"
+            status_rows.append((alpha, "completed", max_abs))
+        print(f"alpha={alpha:g}: {note}")
     write_csv(
-        os.path.join(cfg.out_dir, "sweep_status.csv"),
-        ("alpha", "status", "max_abs_error"),
-        [
-            (e.alpha, e.failure or "completed", "" if e.max_abs_error is None else e.max_abs_error)
-            for e in result.entries
-        ],
+        os.path.join(cfg.out_dir, "sweep_status.csv"), ("alpha", "status", "max_abs_error"),
+        status_rows,
     )
-    for e in result.entries:
-        note = e.failure if e.failure else f"max abs error {e.max_abs_error:.6e}"
-        print(f"alpha={e.alpha:g}: {note}")
-    if cfg.plots and ok_entries:
-        series = [
-            LineSeries(result.s_points, e.final_row, f"alpha={e.alpha:g}") for e in ok_entries
-        ]
+    if cfg.plots and done:
+        series = [LineSeries(s_points, o.final_row(), f"alpha={a:g}") for a, o in done]
         write_line_plot(
             os.path.join(cfg.out_dir, "sweep.svg"), series,
             title="final-time solution by alpha", x_label="S", y_label="U",
         )
-    if any(e.failure for e in result.entries):
+    if len(done) < len(outcomes):
         print("error: at least one alpha diverged", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK
@@ -224,37 +234,35 @@ def _check_lr_search(cfg: RunConfig) -> None:
 def cmd_lr_search(args) -> int:
     cfg, problem, dmap, grid, tcfg = _load(args, _check_lr_search)
     colloc = build_collocation(dmap, cfg.n_points)
-    try:
-        search = lr_grid_search(
-            problem, dmap, grid, colloc, cfg.n_hidden, tcfg, cfg.lr_candidates,
-            cfg.lr_probe_epochs, cfg.init_scale, cfg.output_activation,
-        )
-    except LrSearchFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    best_eta, runs = lr_grid_search(
+        problem, dmap, grid, colloc, cfg.n_hidden, tcfg, cfg.lr_candidates,
+        cfg.lr_probe_epochs, cfg.init_scale, cfg.output_activation,
+    )
+    etas = cfg.lr_candidates
     write_csv(
         os.path.join(cfg.out_dir, "lr_search.csv"),
         ("eta", "status", "final_cost", "diverged_epoch"),
         [
-            (o.eta, "completed", o.final_cost, "") if o.diverged_epoch is None
-            else (o.eta, "diverged", o.final_cost, o.diverged_epoch)
-            for o in search.outcomes
+            (eta, "completed", run.final_cost, "") if run.diverged_epoch is None
+            else (eta, "diverged", run.final_cost, run.diverged_epoch)
+            for eta, run in zip(etas, runs)
         ],
     )
-    if cfg.plots:
-        done = [o for o in search.outcomes if o.diverged_epoch is None]
-        if done:
-            write_line_plot(
-                os.path.join(cfg.out_dir, "lr_search.svg"),
-                [LineSeries(
-                    np.array([o.eta for o in done]),
-                    np.array([o.final_cost for o in done]),
-                    f"cost after {cfg.lr_probe_epochs} epochs",
-                )],
-                title=f"{problem.name}: learning-rate probe", x_label="eta",
-                y_label="cost", log_y=True,
-            )
-    print(f"chosen eta = {search.best_eta:g}")
+    done = [(eta, run.final_cost) for eta, run in zip(etas, runs) if run.diverged_epoch is None]
+    if cfg.plots and done:
+        write_line_plot(
+            os.path.join(cfg.out_dir, "lr_search.svg"),
+            [LineSeries(*np.array(done).T, f"cost after {cfg.lr_probe_epochs} epochs")],
+            title=f"{problem.name}: learning-rate probe", x_label="eta",
+            y_label="cost", log_y=True,
+        )
+    if best_eta is None:
+        failures = ", ".join(
+            f"eta={eta:g} diverged at epoch {run.diverged_epoch}" for eta, run in zip(etas, runs)
+        )
+        print(f"error: all learning-rate candidates diverged: {failures}", file=sys.stderr)
+        return EXIT_DIVERGED
+    print(f"chosen eta = {best_eta:g}")
     return EXIT_OK
 
 

@@ -110,13 +110,6 @@ def _floats(key: str, text: str) -> Tuple[float, ...]:
     return tuple(_float(key, piece) for piece in _items(key, text))
 
 
-def _names(key: str, text: str) -> Tuple[str, ...]:
-    items = _items(key, text)
-    if len(set(items)) != len(items):
-        raise ConfigError(key, f"duplicate name in {text!r}")
-    return items
-
-
 def _choice(*options: str) -> Callable[[str, str], str]:
     def parse(key: str, text: str) -> str:
         if text not in options:
@@ -192,7 +185,7 @@ KEYS: Dict[str, Key] = {
     "training.epochs_rest": Key("epochs_rest", _int, 1200, _at_least(1)),
     "output.dir": Key("out_dir", _text, "out"),
     # every command reads the one config, so the command keys apply to every run
-    "compare.optimizers": Key("compare_optimizers", _names, OPTIMIZERS,
+    "compare.optimizers": Key("compare_optimizers", _items, OPTIMIZERS,
                               (lambda v: v in OPTIMIZERS, f"each must be one of {OPTIMIZERS}")),
     "sweep.alphas": Key("sweep_alphas", _floats, None, _OPEN_UNIT),
     "lr.candidates": Key("lr_candidates", _floats, None, _OPEN_UNIT),
@@ -243,6 +236,9 @@ def _resolve(raw: Dict[str, str], key: str, name: Optional[str]) -> Any:
             raise ConfigError(key, "required key is missing")
         return default
     value = spec.parse(key, raw[key])
+    # a list names each value once: a repeat would run the same variant twice
+    if isinstance(value, tuple) and len(set(value)) != len(value):
+        raise ConfigError(key, f"repeated value in {raw[key]!r}")
     if spec.rule is not None:
         test, demand = spec.rule
         for item in value if isinstance(value, tuple) else (value,):

@@ -1,4 +1,4 @@
-"""Marching orchestration: per-step training, metrics, comparisons, sweeps.
+"""Marching orchestration: per-step training, metrics, alpha sweeps, CSV outputs.
 
 One network is trained per time step. Step k starts from step k-1's
 parameters (warm start), so only the first step pays the full epoch budget.
@@ -10,13 +10,18 @@ Under the arctan map the grid's x = 1 entry is replaced by the map's
 right_eval_point. That surrogate column is evaluated and reported but kept
 out of the residual sum and, by default, out of error metrics; the far-field
 boundary condition is imposed at the outermost finite grid point.
+
+A diverged march raises TrainingDiverged with the completed rows attached as
+a partial SolveResult, so these two records describe every solve, and
+sweep_alpha returns one of them per alpha. First-step probes (compare,
+lr-search) live in trainer.probe_first_step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
 from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
 from .stepper import StepHistory, TimeGrid, make_time_grid, spatial_rhs
-from .trainer import ProbeRun, TrainConfig, TrainingDiverged, probe_first_step, train_step_network
+from .trainer import TrainConfig, TrainingDiverged, train_step_network
 
 
 def build_collocation(dmap: DomainMap, n_points: int) -> CollocationSet:
@@ -201,45 +206,6 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
     )
 
 
-def compare_optimizers(
-    problem: ProblemSpec,
-    dmap: DomainMap,
-    grid: TimeGrid,
-    n_hidden: int,
-    n_points: int,
-    cfg: TrainConfig,
-    optimizers: Sequence[str] = ("adam", "sgd", "rmsprop"),
-    init_scale: float = 0.01,
-    output_activation: str = IDENTITY,
-) -> Dict[str, ProbeRun]:
-    """Train the first marching step under each optimizer from one shared start.
-
-    Returns {optimizer name: ProbeRun}. The first step is backward Euler for
-    every theta, so the comparison has no theta. Divergence of an optimizer
-    is recorded as a truncated trace, never raised.
-    """
-    colloc = build_collocation(dmap, n_points)
-    probes = probe_first_step(
-        problem, dmap, grid, colloc, n_hidden, cfg,
-        [dict(optimizer=name) for name in optimizers], init_scale, output_activation,
-    )
-    return dict(zip(optimizers, probes))
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    alpha: float
-    final_row: Optional[np.ndarray]
-    max_abs_error: Optional[float]
-    failure: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    s_points: np.ndarray
-    entries: Tuple[SweepEntry, ...]
-
-
 def sweep_alpha(
     problem_family: Callable[[float], ProblemSpec],
     alphas: Sequence[float],
@@ -250,39 +216,25 @@ def sweep_alpha(
     cfg: TrainConfig,
     init_scale: float = 0.01,
     output_activation: str = IDENTITY,
-) -> SweepResult:
+) -> Tuple[Union[SolveResult, TrainingDiverged], ...]:
     """Solve one problem per alpha under a shared schedule and seed.
 
-    A diverging alpha is recorded as a failure entry; the sweep continues.
+    Returns, in alpha order, each alpha's SolveResult or, when it diverged,
+    its TrainingDiverged with the partial result attached; the sweep continues.
     """
     if len(alphas) == 0:
         raise ValueError("need at least one alpha")
-    s_pts = from_x(dmap, build_collocation(dmap, n_points).points)
-    entries = []
+    outcomes = []
     for alpha in alphas:
         problem = problem_family(float(alpha))
         grid = make_time_grid(n_steps, problem.maturity, problem.alpha)
         try:
-            result = solve(
-                problem, dmap, grid, n_hidden, n_points, cfg,
-                1.0, init_scale, output_activation,
-            )
-            max_err = None
-            if problem.exact is not None:
-                max_err = error_metrics(result).max_abs
-            entries.append(
-                SweepEntry(alpha=float(alpha), final_row=result.final_row(), max_abs_error=max_err)
-            )
+            outcomes.append(solve(
+                problem, dmap, grid, n_hidden, n_points, cfg, 1.0, init_scale, output_activation,
+            ))
         except TrainingDiverged as exc:
-            entries.append(
-                SweepEntry(
-                    alpha=float(alpha),
-                    final_row=None,
-                    max_abs_error=None,
-                    failure=f"diverged in step {exc.step_index} at epoch {exc.epoch}",
-                )
-            )
-    return SweepResult(s_points=s_pts, entries=tuple(entries))
+            outcomes.append(exc)
+    return tuple(outcomes)
 
 
 def write_surface_csv(path, result: SolveResult) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, Iterator, Optional, Sequence
+from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -433,11 +433,6 @@ class StepTrainResult:
     params: NetworkParams
     breakdown: np.ndarray  # (epochs+1, 4): pde, left_bc, right_bc, total
 
-    @property
-    def trace(self) -> np.ndarray:
-        """Total cost per epoch; entry 0 is the cost at the initial parameters."""
-        return self.breakdown[:, 3]
-
 
 def train_step_network(
     initial: NetworkParams,
@@ -495,6 +490,12 @@ class ProbeRun:
     def seconds_per_epoch(self) -> float:
         return self.seconds / max(1, self.breakdown.shape[0] - 1)
 
+    @property
+    def final_cost(self) -> float:
+        """Cost after the last update; inf for a diverged run, whose trace
+        ends at the cost that stopped it."""
+        return float(self.trace[-1]) if self.diverged_epoch is None else math.inf
+
 
 def probe_first_step(
     problem: ProblemSpec,
@@ -506,19 +507,19 @@ def probe_first_step(
     variants: Sequence[Dict[str, object]],
     init_scale: float = 0.01,
     output_activation: str = IDENTITY,
-) -> Iterator[ProbeRun]:
+) -> Tuple[ProbeRun, ...]:
     """Train the first marching step once per variant, all from one shared start.
 
     The first step is backward Euler for every theta (see solver.solve), so
     a probe needs no theta and no old-step rhs. Each variant names the
-    TrainConfig fields that differ from cfg. A diverging run is recorded with
-    its breakdown up to the failing epoch; it is never raised. Runs are
-    yielded one at a time so that a caller which keeps only a summary frees
-    each breakdown before the next run. Each run builds one workspace for its
-    step; with the identity head its epochs allocate no array.
+    TrainConfig fields that differ from cfg. Returns one run per variant, in
+    order. A diverging run is recorded with its breakdown up to the failing
+    epoch; it is never raised. Each run builds one workspace for its step;
+    with the identity head its epochs allocate no array.
     """
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     initial = init_params(n_hidden, cfg.seed, init_scale)
+    runs = []
     for variant in variants:
         run_cfg = replace(cfg, **variant)
         t0 = time.perf_counter()
@@ -530,31 +531,8 @@ def probe_first_step(
             ).breakdown
         except TrainingDiverged as exc:
             breakdown, diverged_epoch = exc.breakdown, exc.epoch
-        yield ProbeRun(breakdown, diverged_epoch, time.perf_counter() - t0)
-
-
-@dataclass(frozen=True)
-class LrOutcome:
-    eta: float
-    final_cost: float  # inf when the probe diverged
-    diverged_epoch: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class LrSearchResult:
-    best_eta: float
-    outcomes: tuple
-
-
-class LrSearchFailed(RuntimeError):
-    """Every candidate diverged during its probe run."""
-
-    def __init__(self, outcomes):
-        self.outcomes = tuple(outcomes)
-        lines = ", ".join(
-            f"eta={o.eta:g} diverged at epoch {o.diverged_epoch}" for o in self.outcomes
-        )
-        super().__init__(f"all learning-rate candidates diverged: {lines}")
+        runs.append(ProbeRun(breakdown, diverged_epoch, time.perf_counter() - t0))
+    return tuple(runs)
 
 
 def lr_grid_search(
@@ -568,14 +546,14 @@ def lr_grid_search(
     probe_epochs: int,
     init_scale: float = 0.01,
     output_activation: str = IDENTITY,
-) -> LrSearchResult:
+) -> Tuple[Optional[float], Tuple[ProbeRun, ...]]:
     """Deterministic grid replacement for a learning-rate search.
 
     Trains the first marching step for probe_epochs under each candidate eta
-    from one shared initialization and keeps the lowest final cost, breaking
-    ties toward the smaller eta. The first step is backward Euler for every
-    theta, so the search has no theta. Raises LrSearchFailed when every
-    candidate diverges.
+    from one shared initialization. Returns (best eta, one run per candidate
+    in order): the best eta has the lowest final cost, ties going to the
+    smaller eta, and is None when every candidate diverges. The first step is
+    backward Euler for every theta, so the search has no theta.
     """
     if len(candidates) == 0:
         raise ValueError("need at least one learning-rate candidate")
@@ -586,16 +564,8 @@ def lr_grid_search(
         [dict(eta=float(eta), epochs_first=int(probe_epochs)) for eta in candidates],
         init_scale, output_activation,
     )
-    outcomes = [
-        LrOutcome(
-            eta=float(eta),
-            final_cost=float("inf") if run.diverged_epoch is not None else float(run.trace[-1]),
-            diverged_epoch=run.diverged_epoch,
-        )
-        for eta, run in zip(candidates, runs)
+    completed = [
+        (run.final_cost, float(eta)) for eta, run in zip(candidates, runs)
+        if run.diverged_epoch is None
     ]
-    finite = [o for o in outcomes if np.isfinite(o.final_cost)]
-    if not finite:
-        raise LrSearchFailed(outcomes)
-    best = min(finite, key=lambda o: (o.final_cost, o.eta))
-    return LrSearchResult(best_eta=best.eta, outcomes=tuple(outcomes))
+    return (min(completed)[1] if completed else None), runs

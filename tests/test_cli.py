@@ -189,8 +189,11 @@ def test_unusable_custom_functions_exit_2(tmp_path, capsys, key, text):
          "points.count"),
         ("compare", constant_cfg("{out}", "compare.optimizers = adam,adam,sgd\n"),
          "compare.optimizers"),
+        ("sweep-alpha", fractional_cfg("{out}", "sweep.alphas = 0.5, 0.5\n"), "sweep.alphas"),
+        ("lr-search", constant_cfg("{out}", "lr.candidates = 0.01, 0.01\n"), "lr.candidates"),
     ],
-    ids=["negative-option-rate", "arctan-points-reach-surrogate", "duplicate-optimizer"],
+    ids=["negative-option-rate", "arctan-points-reach-surrogate", "duplicate-optimizer",
+         "repeated-alpha", "repeated-eta"],
 )
 def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, command, cfg_text, key):
     out = tmp_path / "out"
@@ -391,7 +394,11 @@ def test_lr_search_all_divergent_exits_3(tmp_path, capsys):
     )
     assert main(["lr-search", "--config", cfg]) == 3
     assert "all learning-rate candidates diverged" in capsys.readouterr().err
-    assert not (out / "lr_search.csv").exists()
+    # the partial outputs are written: every candidate reads diverged
+    header, rows = read_csv(out / "lr_search.csv")
+    assert header == ("eta", "status", "final_cost", "diverged_epoch")
+    assert [r[0] for r in rows] == ["0.03", "0.1"]
+    assert all(r[1] == "diverged" and r[2] == "inf" and r[3] != "" for r in rows)
     missing = write_cfg(tmp_path, constant_cfg(tmp_path / "z"), "nolr.cfg")
     assert main(["lr-search", "--config", missing]) == 2
 

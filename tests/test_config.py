@@ -147,6 +147,11 @@ def test_fractional_defaults_differ():
         ({"problem.name": "custom", "problem.strike": "10"}, "problem.strike"),
         ({"problem.name": "custom", "problem.rate": "0.05"}, "problem.rate"),
         ({"map.reference_price": "10"}, "map.reference_price"),
+        # a list key names each value once, however it is written
+        ({"sweep.alphas": "0.5, 0.5"}, "sweep.alphas"),
+        ({"sweep.alphas": "0.3, 0.5, 5e-1"}, "sweep.alphas"),
+        ({"lr.candidates": "0.01, 0.01"}, "lr.candidates"),
+        ({"lr.candidates": "0.01, 0.02, 0.010"}, "lr.candidates"),
     ],
 )
 def test_rejections_name_the_field(overrides, bad_field):

@@ -6,8 +6,8 @@ from bsann.network import eval_batch, load_params_csv
 from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
 from bsann.solver import (
     START_STEPS,
+    SolveResult,
     build_collocation,
-    compare_optimizers,
     error_metrics,
     history_at,
     read_csv,
@@ -211,58 +211,43 @@ def test_solve_divergence_carries_partial_result():
         error_metrics(exc.partial)
 
 
-def test_compare_optimizers_shares_the_start():
-    problem = constant_problem()
-    dmap = truncated_map(2.0)
-    grid = make_time_grid(2, 1.0, 1.0)
-    cfg = TrainConfig(eta=0.01, epochs_first=50, epochs_rest=20, seed=4)
-    comp = compare_optimizers(problem, dmap, grid, 4, 10, cfg, optimizers=("adam", "sgd"))
-    assert set(comp) == {"adam", "sgd"}
-    a, s = comp["adam"], comp["sgd"]
-    assert a.trace[0] == s.trace[0]
-    assert a.diverged_epoch is None and s.diverged_epoch is None
-    assert a.breakdown.shape == (51, 4)
-    assert a.seconds_per_epoch == pytest.approx(a.seconds / 50.0)
-
-
-def test_compare_optimizers_records_divergence():
-    problem = european_call(0.05, 0.2, 10.0, 1.0)
-    grid = make_time_grid(20, 1.0, 1.0)
-    cfg = TrainConfig(eta=0.03, epochs_first=30, epochs_rest=10, seed=0)
-    comp = compare_optimizers(
-        problem, truncated_map(15.0), grid, 20, 150, cfg, optimizers=("adam", "sgd")
-    )
-    assert comp["adam"].diverged_epoch is None
-    sgd = comp["sgd"]
-    assert sgd.diverged_epoch is not None
-    assert sgd.breakdown.shape[0] == sgd.diverged_epoch + 1
-    assert sgd.trace[-1] > comp["adam"].trace[-1]
-
-
 def test_sweep_alpha_entries():
     cfg = TrainConfig(eta=0.03, epochs_first=200, epochs_rest=100, seed=0)
-    result = sweep_alpha(
+    outcomes = sweep_alpha(
         fractional_manufactured, (0.4, 0.6), truncated_map(1.0), 3, 4, 12, cfg
     )
-    assert len(result.entries) == 2
-    for entry, alpha in zip(result.entries, (0.4, 0.6)):
-        assert entry.alpha == alpha
-        assert entry.failure is None
-        assert entry.final_row.shape == (12,)
-        assert entry.max_abs_error < 0.5
-    assert result.s_points.shape == (12,)
+    assert len(outcomes) == 2
+    for result, alpha in zip(outcomes, (0.4, 0.6)):
+        assert isinstance(result, SolveResult) and result.complete
+        assert result.problem.alpha == alpha and result.grid.alpha == alpha
+        assert result.final_row().shape == (12,)
+        assert error_metrics(result).max_abs < 0.5
+        assert result.s_points.shape == (12,)
 
 
 def test_sweep_alpha_records_failures():
     family = lambda alpha: european_call(0.05, 0.2, 10.0, 1.0)
     cfg = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=100, epochs_rest=50, seed=0)
-    result = sweep_alpha(family, (1.0,), truncated_map(15.0), 20, 20, 150, cfg)
-    entry = result.entries[0]
-    assert entry.failure is not None and "diverged" in entry.failure
-    assert entry.final_row is None and entry.max_abs_error is None
-    assert result.s_points.shape == (150,)
+    (exc,) = sweep_alpha(family, (1.0,), truncated_map(15.0), 20, 20, 150, cfg)
+    assert isinstance(exc, TrainingDiverged) and "diverged" in str(exc)
+    assert exc.step_index == 0 and exc.epoch < 100
+    assert exc.breakdown.shape[0] == exc.epoch + 1
+    assert not exc.partial.complete and exc.partial.surface.shape == (1, 150)
+    assert exc.partial.s_points.shape == (150,)
     with pytest.raises(ValueError):
         sweep_alpha(family, (), truncated_map(15.0), 2, 4, 10, cfg)
+
+
+def test_sweep_alpha_keeps_alpha_order_past_a_divergence():
+    # the middle alpha's problem diverges under sgd; the sweep goes on to the last
+    call = european_call(0.05, 0.2, 10.0, 1.0)
+    family = lambda alpha: fractional_manufactured(alpha) if alpha < 1.0 else call
+    cfg = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=100, epochs_rest=50, seed=0)
+    dmap = truncated_map(15.0)
+    first, middle, last = sweep_alpha(family, (0.4, 1.0, 0.6), dmap, 20, 20, 150, cfg)
+    assert isinstance(middle, TrainingDiverged) and middle.step_index == 0
+    for result, alpha in ((first, 0.4), (last, 0.6)):
+        assert isinstance(result, SolveResult) and result.problem.alpha == alpha
 
 
 def test_write_solution_outputs_inventory(tiny_solve, tmp_path):

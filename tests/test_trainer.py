@@ -19,9 +19,10 @@ from bsann.stepper import (
     make_time_grid,
     spatial_rhs,
 )
+from bsann import trainer
 from bsann.trainer import (
-    LrSearchFailed,
     OptimizerState,
+    ProbeRun,
     TrainConfig,
     TrainingDiverged,
     _context_cost_grad,
@@ -31,6 +32,7 @@ from bsann.trainer import (
     build_step_context,
     cost_gradient,
     lr_grid_search,
+    probe_first_step,
     rmsprop_step,
     sgd_step,
     step_cost,
@@ -306,7 +308,7 @@ def test_train_step_epoch_budgets_and_trace():
     assert first.breakdown.shape == (61, 4)
     start = step_cost(initial, problem, dmap, grid, colloc, history, 0)
     assert first.breakdown[0, 3] == pytest.approx(start.total, rel=1e-12)
-    assert first.trace[-1] < first.trace[0]
+    assert first.breakdown[-1, 3] < first.breakdown[0, 3]
     history.append(eval_batch(first.params, colloc.points)[0])
     second = train_step_network(first.params, problem, dmap, grid, colloc, history, 1, cfg)
     assert second.breakdown.shape == (26, 4)
@@ -450,23 +452,64 @@ def test_training_divergence_names_its_step():
     assert "marching step 1" in str(info.value)
 
 
+def test_probe_first_step_shares_the_start():
+    problem = constant_problem()
+    dmap = truncated_map(2.0)
+    grid = make_time_grid(2, 1.0, 1.0)
+    cfg = TrainConfig(eta=0.01, epochs_first=50, epochs_rest=20, seed=4)
+    a, s = probe_first_step(problem, dmap, grid, build_collocation(dmap, 10), 4, cfg,
+                            [dict(optimizer="adam"), dict(optimizer="sgd")])
+    assert a.trace[0] == s.trace[0]
+    assert a.diverged_epoch is None and s.diverged_epoch is None
+    assert a.breakdown.shape == (51, 4)
+    assert a.seconds_per_epoch == pytest.approx(a.seconds / 50.0)
+
+
+def test_probe_first_step_records_divergence():
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = truncated_map(15.0)
+    grid = make_time_grid(20, 1.0, 1.0)
+    cfg = TrainConfig(eta=0.03, epochs_first=30, epochs_rest=10, seed=0)
+    adam, sgd = probe_first_step(problem, dmap, grid, build_collocation(dmap, 150), 20, cfg,
+                                 [dict(optimizer="adam"), dict(optimizer="sgd")])
+    assert adam.diverged_epoch is None
+    assert sgd.diverged_epoch is not None
+    assert sgd.breakdown.shape[0] == sgd.diverged_epoch + 1
+    assert sgd.trace[-1] > adam.trace[-1]
+    assert sgd.final_cost == math.inf and adam.final_cost == adam.trace[-1]
+
+
 def test_lr_grid_search_picks_lowest_cost():
     problem = constant_problem()
     dmap = truncated_map(2.0)
     grid = make_time_grid(3, 1.0, 1.0)
     colloc = build_collocation(dmap, 8)
     cfg = TrainConfig(eta=0.5, epochs_first=100, epochs_rest=50, seed=2)
-    result = lr_grid_search(problem, dmap, grid, colloc, 4, cfg, (0.001, 0.01, 0.05), 80)
-    assert result.best_eta in (0.001, 0.01, 0.05)
-    assert len(result.outcomes) == 3
-    costs = {o.eta: o.final_cost for o in result.outcomes}
-    assert result.best_eta == min(costs, key=lambda e: (costs[e], e))
+    etas = (0.001, 0.01, 0.05)
+    best_eta, runs = lr_grid_search(problem, dmap, grid, colloc, 4, cfg, etas, 80)
+    assert best_eta in etas
+    assert len(runs) == 3
+    assert all(run.breakdown.shape == (81, 4) for run in runs)
+    costs = {eta: run.final_cost for eta, run in zip(etas, runs)}
+    assert best_eta == min(costs, key=lambda e: (costs[e], e))
     # repeat run is identical
-    again = lr_grid_search(problem, dmap, grid, colloc, 4, cfg, (0.001, 0.01, 0.05), 80)
-    assert again.best_eta == result.best_eta
-    assert all(
-        a.final_cost == b.final_cost for a, b in zip(result.outcomes, again.outcomes)
-    )
+    again_eta, again = lr_grid_search(problem, dmap, grid, colloc, 4, cfg, etas, 80)
+    assert again_eta == best_eta
+    assert all(a.final_cost == b.final_cost for a, b in zip(runs, again))
+
+
+def test_lr_grid_search_breaks_ties_toward_the_smaller_eta(monkeypatch):
+    # every probe ends at the same cost; the one diverged run does not count
+    tied = ProbeRun(np.ones((3, 4)), None, 0.0)
+    lost = ProbeRun(np.zeros((2, 4)), 1, 0.0)
+    monkeypatch.setattr(trainer, "probe_first_step", lambda *args: (tied, lost, tied, tied))
+    problem = constant_problem()
+    dmap = truncated_map(2.0)
+    colloc = build_collocation(dmap, 8)
+    best_eta, runs = lr_grid_search(problem, dmap, make_time_grid(3, 1.0, 1.0), colloc, 4,
+                                    TrainConfig(), (0.05, 0.001, 0.01, 0.03), 2)
+    assert best_eta == 0.01
+    assert [run is tied for run in runs] == [True, False, True, True]
 
 
 def test_lr_grid_search_all_divergent():
@@ -475,9 +518,11 @@ def test_lr_grid_search_all_divergent():
     grid = make_time_grid(20, 1.0, 1.0)
     colloc = build_collocation(dmap, 150)
     cfg = TrainConfig(optimizer="sgd", eta=0.1, seed=0)
-    with pytest.raises(LrSearchFailed) as info:
-        lr_grid_search(problem, dmap, grid, colloc, 20, cfg, (0.03, 0.1), 200)
-    assert all(o.diverged_epoch is not None for o in info.value.outcomes)
+    best_eta, runs = lr_grid_search(problem, dmap, grid, colloc, 20, cfg, (0.03, 0.1), 200)
+    assert best_eta is None
+    assert len(runs) == 2
+    assert all(run.diverged_epoch is not None for run in runs)
+    assert all(run.final_cost == math.inf for run in runs)
 
 
 def test_lr_grid_search_validation():
