@@ -19,7 +19,6 @@ from .solver import (
     read_csv,
     read_numeric_csv,
     solve,
-    sweep_alpha,
     write_solution_outputs,
 )
 from .stepper import StepHistory, TimeGrid, b_weights, caputo_residual, make_time_grid

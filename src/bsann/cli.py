@@ -8,9 +8,9 @@ Subcommands:
     selftest     run a fast invariant suite and print PASS/FAIL lines
 
 compare and lr-search format their rows, plots and messages from the
-ProbeRun records of trainer.probe_first_step; sweep-alpha from each alpha's
-SolveResult or TrainingDiverged. Every run is reported as completed or
-diverged.
+ProbeRun records of trainer.probe_first_step. sweep-alpha runs solve one
+alpha at a time and keeps only each alpha's status row and a copy of its
+final row. Every run is reported as completed or diverged.
 
 Exit statuses: 0 success, 2 configuration error, 3 training diverged
 (solve: the march; compare and lr-search: every run; sweep-alpha: any
@@ -45,7 +45,6 @@ from .solver import (
     build_collocation,
     error_metrics,
     solve,
-    sweep_alpha,
     write_cost_csv,
     write_solution_outputs,
 )
@@ -157,9 +156,9 @@ def cmd_compare(args) -> int:
         status = "diverged" if run.diverged_epoch is not None else "completed"
         div = "" if run.diverged_epoch is None else run.diverged_epoch
         epochs = run.breakdown.shape[0] - 1
-        rows.append((name, status, epochs, div, run.trace[-1], run.seconds, run.seconds_per_epoch))
+        rows.append((name, status, epochs, div, run.final_cost, run.seconds, run.seconds_per_epoch))
         series.append(LineSeries(np.arange(run.trace.size), run.trace, f"{name} ({status})"))
-        print(f"{name}: {status}, final cost {run.trace[-1]:.6e}")
+        print(f"{name}: {status}, final cost {run.final_cost:.6e}")
     write_csv(
         os.path.join(cfg.out_dir, "compare.csv"),
         ("optimizer", "status", "epochs_recorded", "diverged_epoch",
@@ -187,40 +186,45 @@ def _check_sweep_alpha(cfg: RunConfig) -> None:
 
 def cmd_sweep_alpha(args) -> int:
     cfg, _, dmap, _, tcfg = _load(args, _check_sweep_alpha)
-    outcomes = sweep_alpha(
-        lambda alpha: build_problem(cfg, alpha=alpha), cfg.sweep_alphas, dmap, cfg.n_steps,
-        cfg.n_hidden, cfg.n_points, tcfg, cfg.init_scale, cfg.output_activation,
-    )
-    # a diverged alpha carries its partial result, on the same collocation grid
-    first = outcomes[0]
-    s_points = (first.partial if isinstance(first, TrainingDiverged) else first).s_points
-    done = [(a, o) for a, o in zip(cfg.sweep_alphas, outcomes) if isinstance(o, SolveResult)]
-    write_csv(
-        os.path.join(cfg.out_dir, "sweep.csv"),
-        ["S"] + [f"alpha_{a:g}" for a, _ in done],
-        np.column_stack([s_points] + [o.final_row() for _, o in done]).tolist(),
-    )
-    status_rows = []
-    for alpha, o in zip(cfg.sweep_alphas, outcomes):
-        if isinstance(o, TrainingDiverged):
-            note = f"diverged in step {o.step_index} at epoch {o.epoch}"
+    status_rows, finals = [], []
+    for alpha in cfg.sweep_alphas:
+        run = replace(cfg, alpha=alpha)
+        try:
+            result = solve(
+                build_problem(run), dmap, build_grid(run), cfg.n_hidden, cfg.n_points, tcfg,
+                1.0, cfg.init_scale, cfg.output_activation,
+            )
+        except TrainingDiverged as exc:
+            # a partial result lies on the same collocation grid
+            s_points = exc.partial.s_points
+            note = f"diverged in step {exc.step_index} at epoch {exc.epoch}"
             status_rows.append((alpha, note, ""))
         else:
-            max_abs = error_metrics(o).max_abs
+            s_points = result.s_points
+            max_abs = error_metrics(result).max_abs
             note = f"max abs error {max_abs:.6e}"
             status_rows.append((alpha, "completed", max_abs))
+            # final_row() is a view, and result would otherwise live on through
+            # the next alpha's solve: keep a copy and let the rest go now
+            finals.append((alpha, result.final_row().copy()))
+            del result
         print(f"alpha={alpha:g}: {note}")
+    write_csv(
+        os.path.join(cfg.out_dir, "sweep.csv"),
+        ["S"] + [f"alpha_{a:g}" for a, _ in finals],
+        np.column_stack([s_points] + [row for _, row in finals]).tolist(),
+    )
     write_csv(
         os.path.join(cfg.out_dir, "sweep_status.csv"), ("alpha", "status", "max_abs_error"),
         status_rows,
     )
-    if cfg.plots and done:
-        series = [LineSeries(s_points, o.final_row(), f"alpha={a:g}") for a, o in done]
+    if cfg.plots and finals:
+        series = [LineSeries(s_points, row, f"alpha={a:g}") for a, row in finals]
         write_line_plot(
             os.path.join(cfg.out_dir, "sweep.svg"), series,
             title="final-time solution by alpha", x_label="S", y_label="U",
         )
-    if len(done) < len(outcomes):
+    if len(finals) < len(status_rows):
         print("error: at least one alpha diverged", file=sys.stderr)
         return EXIT_DIVERGED
     return EXIT_OK

@@ -310,7 +310,8 @@ def _check_sizes(cfg: RunConfig) -> None:
                         ("lr.probe_epochs", cfg.lr_probe_epochs)):
         if 32 * (epochs + 1) > limit:
             raise ConfigError(key, f"the cost breakdown of {epochs} epochs passes {limit} bytes")
-    # a solve keeps the solution surface and every step's breakdown
+    # a solve keeps the solution surface and every step's breakdown; sweep-alpha
+    # holds one solve at a time, so the bound covers a sweep too
     kept = 8 * (n_steps + 1) * n_points + 32 * (cfg.epochs_first + 1 + (n_steps - 1) * (cfg.epochs_rest + 1))
     if kept > limit:
         raise ConfigError("grid.n_steps", f"{n_steps} steps keep more than {limit} bytes "
@@ -368,14 +369,14 @@ def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
                        left_bc=left, right_bc=right, exact=exact)
 
 
-def build_problem(cfg: RunConfig, alpha: Optional[float] = None) -> ProblemSpec:
-    """Instantiate the configured problem; alpha overrides for sweeps."""
+def build_problem(cfg: RunConfig) -> ProblemSpec:
+    """Instantiate the configured problem."""
     if cfg.problem_name == CALL:
         return european_call(cfg.rate, cfg.sigma, cfg.strike, cfg.maturity)
     if cfg.problem_name == PUT:
         return european_put(cfg.rate, cfg.sigma, cfg.strike, cfg.maturity)
     if cfg.problem_name == FRACTIONAL:
-        return fractional_manufactured(cfg.alpha if alpha is None else alpha, cfg.rate, cfg.sigma, cfg.maturity)
+        return fractional_manufactured(cfg.alpha, cfg.rate, cfg.sigma, cfg.maturity)
     return _build_custom_problem(cfg)
 
 

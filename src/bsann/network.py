@@ -123,9 +123,9 @@ def _sigmoid_arr(z: np.ndarray) -> np.ndarray:
     return _sigmoid_into(z, *np.empty((3,) + z.shape))
 
 
-# (r, n) planes of a pass, and those added when it takes parameter gradients
-_PLANES = ("x", "w", "ww", "z", "ez", "pos", "s", "s1", "s2", "s1w", "s2ww")
-_GRAD_PLANES = ("v", "vs1", "s3", "g0", "g1", "g2")
+# the (r, n) planes of a pass
+_PLANES = ("x", "w", "ww", "z", "ez", "pos", "s", "s1", "s2", "s1w", "s2ww",
+           "v", "vs1", "s3", "g0", "g1", "g2")
 
 
 class PassBuffers:
@@ -134,16 +134,15 @@ class PassBuffers:
     Every (r, n) operand is a full same-shape array: the inputs repeated along
     each row once, and w, v and w*w copied along each column once per pass.
     numpy runs a same-shape product as one flat loop, several times faster at
-    these sizes than the same product broadcast from an (n,) vector. With
-    grads the buffers also hold the parameter-gradient products that
-    _group_grads emits one group at a time.
+    these sizes than the same product broadcast from an (n,) vector. The
+    buffers also hold the parameter-gradient products that _group_grads emits
+    one group at a time; a pass that only needs the values fills them too.
     """
 
-    def __init__(self, x: np.ndarray, n: int, grads: bool = False):
+    def __init__(self, x: np.ndarray, n: int):
         x = np.asarray(x, dtype=float).ravel()
         r = x.size
-        names = _PLANES + _GRAD_PLANES if grads else _PLANES
-        for name, plane in zip(names, np.empty((len(names), r, n))):
+        for name, plane in zip(_PLANES, np.empty((len(_PLANES), r, n))):
             setattr(self, name, plane)
         self.x[:] = x[:, None]
         self.p, self.px, self.pxx = np.empty((3, r))
@@ -151,18 +150,16 @@ class PassBuffers:
         self.one, self.zero = np.ones((r, 1)), np.zeros((r, 1))
 
     @staticmethod
-    def nbytes(r: int, n: int, grads: bool = False) -> int:
-        """Bytes that PassBuffers(x, n, grads) allocates for r inputs."""
-        planes = len(_PLANES) + (len(_GRAD_PLANES) if grads else 0)
-        return 8 * planes * r * n + 40 * r
+    def nbytes(r: int, n: int) -> int:
+        """Bytes that PassBuffers(x, n) allocates for r inputs."""
+        return 8 * len(_PLANES) * r * n + 40 * r
 
 
-def _hidden_pass(w, b, v, beta, h: PassBuffers, grads: bool = False):
+def _hidden_pass(w, b, v, beta, h: PassBuffers):
     """Fill h for one parameter set: the hidden sigmoids s with their input
-    derivatives s1 and s2, the products s1*w and s2*w*w, and the pre-activation
-    head P with its first two input derivatives in h.p, h.px and h.pxx. With
-    grads also v, v*s1 and the third derivative s3, which the parameter-gradient
-    products share."""
+    derivatives s1, s2 and s3, the products s1*w, s2*w*w, v*s1, and the
+    pre-activation head P with its first two input derivatives in h.p, h.px
+    and h.pxx."""
     np.copyto(h.w, w)
     np.multiply(h.w, h.w, out=h.ww)
     z = np.multiply(h.x, h.w, out=h.z)
@@ -181,36 +178,34 @@ def _hidden_pass(w, b, v, beta, h: PassBuffers, grads: bool = False):
     h.p += beta
     np.matmul(h.s1w, v, out=h.px)
     np.matmul(h.s2ww, v, out=h.pxx)
-    if grads:
-        np.copyto(h.v, v)
-        np.multiply(h.v, h.s1, out=h.vs1)
-        # s3 = s1*((1 - 6s) + 6s*s)
-        np.multiply(h.s, 6.0, out=t)
-        np.subtract(1.0, t, out=u)
-        t *= h.s
-        u += t
-        np.multiply(h.s1, u, out=h.s3)
+    np.copyto(h.v, v)
+    np.multiply(h.v, h.s1, out=h.vs1)
+    # s3 = s1*((1 - 6s) + 6s*s)
+    np.multiply(h.s, 6.0, out=t)
+    np.subtract(1.0, t, out=u)
+    t *= h.s
+    u += t
+    np.multiply(h.s1, u, out=h.s3)
 
 
-def _forward(w, b, v, beta, h: PassBuffers, output_activation=IDENTITY, grads: bool = False):
+def _forward(w, b, v, beta, h: PassBuffers, output_activation=IDENTITY):
     """value, d1 and d2 at h's inputs. With the sigmoid head q = sigmoid(P), the
     columns that its parameter-gradient chain rule needs are kept in h.head."""
-    _hidden_pass(w, b, v, beta, h, grads)
+    _hidden_pass(w, b, v, beta, h)
     p, px, pxx = h.p, h.px, h.pxx
     if output_activation == IDENTITY:
         return p, px, pxx
     q = _sigmoid_arr(p)
     q1 = q * (1.0 - q)
     q2 = q1 * (1.0 - 2.0 * q)
-    if grads:
-        q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
-        h.head = tuple(col[:, None] for col in (q1, q2, q3, px, pxx))
+    q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
+    h.head = tuple(col[:, None] for col in (q1, q2, q3, px, pxx))
     return q, q1 * px, q2 * px * px + q1 * pxx
 
 
 def _group_grads(h: PassBuffers, group: int, output_activation=IDENTITY):
     """Parameter gradients (g_value, g_d1, g_d2) of one group at h's inputs,
-    after _forward with grads: group 0 the hidden weights, 1 the hidden biases,
+    after _forward: group 0 the hidden weights, 1 the hidden biases,
     2 the output weights, each (r, n), and 3 the output bias, (r, 1).
 
     With the identity head the arrays are views into h, overwritten by the
@@ -281,8 +276,8 @@ def param_grad(
     _check_activation(output_activation)
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
-    h = PassBuffers(np.array([float(x)]), params.n_hidden, grads=True)
-    _forward(*_parts(params), h, output_activation, grads=True)
+    h = PassBuffers(np.array([float(x)]), params.n_hidden)
+    _forward(*_parts(params), h, output_activation)
     pick = {"value": 0, "d1": 1, "d2": 2}[target]
     g = [_group_grads(h, group, output_activation)[pick][0].copy() for group in range(4)]
     return NetworkParams.from_flat(np.concatenate(g), params.n_hidden)

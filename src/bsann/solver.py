@@ -1,4 +1,4 @@
-"""Marching orchestration: per-step training, metrics, alpha sweeps, CSV outputs.
+"""Marching orchestration: per-step training, metrics, CSV outputs.
 
 One network is trained per time step. Step k starts from step k-1's
 parameters (warm start), so only the first step pays the full epoch budget.
@@ -12,16 +12,16 @@ out of the residual sum and, by default, out of error metrics; the far-field
 boundary condition is imposed at the outermost finite grid point.
 
 A diverged march raises TrainingDiverged with the completed rows attached as
-a partial SolveResult, so these two records describe every solve, and
-sweep_alpha returns one of them per alpha. First-step probes (compare,
-lr-search) live in trainer.probe_first_step.
+a partial SolveResult, so these two records describe every solve. An alpha
+sweep is one solve per alpha (see cli's sweep-alpha). First-step probes
+(compare, lr-search) live in trainer.probe_first_step.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .csvio import read_csv, read_numeric_csv, write_csv  # noqa: F401  (readers
 from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
 from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
-from .stepper import StepHistory, TimeGrid, make_time_grid, spatial_rhs
+from .stepper import StepHistory, TimeGrid, spatial_rhs
 from .trainer import TrainConfig, TrainingDiverged, train_step_network
 
 
@@ -204,37 +204,6 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
         max_abs=float(abs_err[used].max()),
         mean_abs=float(abs_err[used].mean()),
     )
-
-
-def sweep_alpha(
-    problem_family: Callable[[float], ProblemSpec],
-    alphas: Sequence[float],
-    dmap: DomainMap,
-    n_steps: int,
-    n_hidden: int,
-    n_points: int,
-    cfg: TrainConfig,
-    init_scale: float = 0.01,
-    output_activation: str = IDENTITY,
-) -> Tuple[Union[SolveResult, TrainingDiverged], ...]:
-    """Solve one problem per alpha under a shared schedule and seed.
-
-    Returns, in alpha order, each alpha's SolveResult or, when it diverged,
-    its TrainingDiverged with the partial result attached; the sweep continues.
-    """
-    if len(alphas) == 0:
-        raise ValueError("need at least one alpha")
-    outcomes = []
-    for alpha in alphas:
-        problem = problem_family(float(alpha))
-        grid = make_time_grid(n_steps, problem.maturity, problem.alpha)
-        try:
-            outcomes.append(solve(
-                problem, dmap, grid, n_hidden, n_points, cfg, 1.0, init_scale, output_activation,
-            ))
-        except TrainingDiverged as exc:
-            outcomes.append(exc)
-    return tuple(outcomes)
 
 
 def write_surface_csv(path, result: SolveResult) -> None:

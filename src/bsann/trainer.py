@@ -89,23 +89,22 @@ class TrainConfig:
 class OptimizerState:
     """First and second moment accumulators plus the update counter.
 
-    The update steps overwrite m and v in place, and use two scratch vectors
-    that are allocated on the first update.
+    The update steps overwrite m and v in place. Their two scratch vectors,
+    the rows of scratch, are allocated with the state unless given.
     """
 
     m: np.ndarray
     v: np.ndarray
     iteration: int = 0
-    scratch: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    scratch: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.scratch is None:
+            self.scratch = np.empty((2, self.m.size))
 
     @classmethod
     def zeros(cls, size: int) -> "OptimizerState":
         return cls(m=np.zeros(size), v=np.zeros(size), iteration=0)
-
-    def _scratch(self, size: int) -> np.ndarray:
-        if self.scratch is None or self.scratch.shape != (2, size):
-            self.scratch = np.empty((2, size))
-        return self.scratch
 
 
 @dataclass(frozen=True)
@@ -211,18 +210,19 @@ class _Workspace:
     boundary points go into its slices of rows. With the identity head the
     output-bias column of jac and of rows is constant; it is written once per
     step, when the workspace is built, and no epoch writes it again.
+
+    A pass that only needs the cost (step_cost, the last epoch of a step)
+    runs on the same workspace and leaves jac, rows and grad as they were.
     """
 
-    # a cost-only workspace keeps hidden (without gradient planes), resid and
-    # rtmp, and holds None or nothing in the other fields
     hidden: PassBuffers           # network pass at ctx.points
     targets: tuple                # per group: jac columns, 3 coefficients, 2 scratch, 2 rows slices
-    jac: Optional[np.ndarray]     # (n_pde, 3n+1) residual Jacobian
+    jac: np.ndarray               # (n_pde, 3n+1) residual Jacobian
     resid: np.ndarray             # (n_pde,) residual
     rtmp: np.ndarray              # (n_pde,) one residual term before it is added
-    rows: Optional[np.ndarray]    # (2, 3n+1) value gradients at the left and right boundary
-    scaled: Optional[np.ndarray]  # (3n+1,) one boundary row times its factor
-    grad: Optional[np.ndarray]    # (3n+1,) flat cost gradient
+    rows: np.ndarray              # (2, 3n+1) value gradients at the left and right boundary
+    scaled: np.ndarray            # (3n+1,) one boundary row times its factor
+    grad: np.ndarray              # (3n+1,) flat cost gradient
     epoch_groups: int             # groups rewritten each epoch: 3, or 4 with a sigmoid head
 
 
@@ -231,15 +231,12 @@ def workspace_nbytes(r: int, n: int) -> int:
     and n hidden units; an upper bound, exact when every point is a residual row."""
     size = 3 * n + 1
     own = 5 * r * n + r * size + 2 * r + 8 * size  # the last term counts m, v and scratch
-    return PassBuffers.nbytes(r, n, grads=True) + 8 * own
+    return PassBuffers.nbytes(r, n) + 8 * own
 
 
-def _workspace(ctx: StepContext, n: int, grads: bool = True) -> _Workspace:
-    """Workspace for ctx's step; without grads, only what the cost needs."""
+def _workspace(ctx: StepContext, n: int) -> _Workspace:
+    """Workspace for ctx's step and n hidden units."""
     m, size = ctx.n_pde, 3 * n + 1
-    if not grads:
-        return _Workspace(PassBuffers(ctx.points, n), (), None, np.empty(m), np.empty(m),
-                          None, None, None, 0)
     coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], n, axis=2)
     scratch = np.empty((2, m, n))
     jac, rows = np.empty((m, size)), np.empty((2, size))
@@ -251,7 +248,7 @@ def _workspace(ctx: StepContext, n: int, grads: bool = True) -> _Workspace:
             (jac[:, cols], *coef[:, :, :k], *scratch[:, :, :k], rows[0, cols], rows[1, cols])
         )
     ws = _Workspace(
-        PassBuffers(ctx.points, n, grads=True), tuple(targets),
+        PassBuffers(ctx.points, n), tuple(targets),
         jac, np.empty(m), np.empty(m), rows, np.empty(size), np.empty(size),
         3 if ctx.output_activation == IDENTITY else 4,
     )
@@ -282,7 +279,7 @@ def _context_cost_grad(
     """Write the cost terms (pde, left_bc, right_bc, total) into row; with grad,
     return the flat cost gradient, which is ws.grad and the next call overwrites."""
     w, b, v, beta = _split_flat(flat, n)
-    val, d1, d2 = _forward(w, b, v, beta, ws.hidden, ctx.output_activation, grad)
+    val, d1, d2 = _forward(w, b, v, beta, ws.hidden, ctx.output_activation)
     m = ctx.n_pde
     # resid = ((a_value*val + a_d1*d1) + a_d2*d2) + offset
     resid, term = ws.resid, ws.rtmp
@@ -333,7 +330,7 @@ def step_cost(
     )
     n = params.n_hidden
     row = np.empty(4)
-    _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n, grads=False), row, grad=False)
+    _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n), row, grad=False)
     return CostBreakdown(*row.tolist())
 
 
@@ -373,7 +370,7 @@ def adam_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: 
     if params.shape != grad.shape or state.m.shape != params.shape or state.v.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
     m, v = state.m, state.v
-    t, u = state._scratch(params.size)
+    t, u = state.scratch
     m *= cfg.beta1
     np.multiply(grad, 1.0 - cfg.beta1, out=t)
     m += t
@@ -397,7 +394,7 @@ def sgd_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cfg: T
     """Plain full-batch gradient descent: params -= eta*g."""
     if params.shape != grad.shape:
         raise ValueError("parameter and gradient shapes must match")
-    t = state._scratch(params.size)[0]
+    t = state.scratch[0]
     np.multiply(grad, cfg.eta, out=t)
     params -= t
     state.iteration += 1
@@ -409,7 +406,7 @@ def rmsprop_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cf
     if params.shape != grad.shape or state.v.shape != params.shape:
         raise ValueError("parameter, gradient and state shapes must match")
     v = state.v
-    t, u = state._scratch(params.size)
+    t, u = state.scratch
     v *= 0.9
     np.multiply(grad, grad, out=t)
     t *= 0.1

@@ -1,12 +1,18 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import bsann
 from bsann.cli import main
-from bsann.solver import read_csv
+from bsann.config import build_grid, build_map, build_problem, build_train_config, load_config
+from bsann.solver import read_csv, read_numeric_csv, solve
+from bsann.trainer import TrainingDiverged
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -320,6 +326,12 @@ def test_compare_all_divergent_exits_3(tmp_path, capsys):
     header, rows = read_csv(out / "compare.csv")
     assert rows[0][0] == "sgd" and rows[0][1] == "diverged"
     assert rows[0][3] != ""  # diverged_epoch recorded
+    # a diverged run's final cost reads inf, as in lr_search.csv; its cost
+    # file still ends at the cost that stopped it
+    assert rows[0][4] == "inf"
+    assert "sgd: diverged, final cost inf" in captured.out
+    _, costs = read_numeric_csv(out / "cost_sgd.csv")
+    assert costs[-1, 4] > 1e12
 
 
 def test_sweep_alpha_outputs(tmp_path, capsys):
@@ -331,10 +343,72 @@ def test_sweep_alpha_outputs(tmp_path, capsys):
     header, rows = read_csv(out / "sweep.csv")
     assert header == ("S", "alpha_0.4", "alpha_0.6")
     assert len(rows) == 12
+    # each column is, bit for bit, the final row of a solve at that alpha alone
+    _, table = read_numeric_csv(out / "sweep.csv")
+    base = load_config(cfg)
+    for column, alpha in ((1, 0.4), (2, 0.6)):
+        run = replace(base, alpha=alpha)
+        result = solve(
+            build_problem(run), build_map(run), build_grid(run), run.n_hidden, run.n_points,
+            build_train_config(run), 1.0, run.init_scale, run.output_activation,
+        )
+        assert result.complete and result.problem.alpha == alpha == result.grid.alpha
+        assert np.array_equal(table[:, 0], result.s_points)
+        assert np.array_equal(table[:, column], result.final_row())
     header, rows = read_csv(out / "sweep_status.csv")
     assert header == ("alpha", "status", "max_abs_error")
-    assert all(r[1] == "completed" for r in rows)
+    assert all(r[1] == "completed" and float(r[2]) < 0.5 for r in rows)
     assert (out / "sweep.svg").exists()
+
+
+def test_sweep_alpha_keeps_alpha_order_past_a_divergence(tmp_path, capsys, monkeypatch):
+    real_solve = bsann.cli.solve
+
+    def middle_diverges(problem, *args):
+        result = real_solve(problem, *args)
+        if problem.alpha == 0.5:
+            exc = TrainingDiverged(7, float("inf"), 1, np.zeros((8, 4)))
+            exc.partial = replace(result, surface=result.surface[:2])
+            raise exc
+        return result
+
+    monkeypatch.setattr(bsann.cli, "solve", middle_diverges)
+    out = tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, fractional_cfg(out, "sweep.alphas = 0.4,0.5,0.6\n"))
+    assert main(["sweep-alpha", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "at least one alpha diverged" in captured.err
+    assert captured.out.index("alpha=0.4") < captured.out.index("alpha=0.5: diverged")
+    assert captured.out.index("alpha=0.5") < captured.out.index("alpha=0.6")
+    header, rows = read_csv(out / "sweep.csv")
+    assert header == ("S", "alpha_0.4", "alpha_0.6") and len(rows) == 12
+    header, rows = read_csv(out / "sweep_status.csv")
+    assert [r[0] for r in rows] == ["0.4", "0.5", "0.6"]
+    assert [r[1] for r in rows] == ["completed", "diverged in step 1 at epoch 7", "completed"]
+    assert rows[1][2] == "" and rows[0][2] != "" and rows[2][2] != ""
+
+
+def test_sweep_alpha_holds_one_solve_at_a_time(tmp_path, capsys, monkeypatch):
+    # every earlier alpha's result and surface buffer is freed before the
+    # next alpha is solved, so a sweep holds what one solve holds
+    real_solve = bsann.cli.solve
+    refs = []
+
+    def tracked(*args):
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        result = real_solve(*args)
+        buffer = result.surface if result.surface.base is None else result.surface.base
+        refs.extend((weakref.ref(result), weakref.ref(buffer)))
+        return result
+
+    monkeypatch.setattr(bsann.cli, "solve", tracked)
+    out = tmp_path / "sweep"
+    cfg = write_cfg(tmp_path, fractional_cfg(out, "sweep.alphas = 0.4,0.5,0.6\n"))
+    assert main(["sweep-alpha", "--config", cfg, "--no-plots"]) == 0
+    assert len(refs) == 6
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 6
 
 
 def test_sweep_alpha_diverged_status_is_readable(tmp_path, capsys):

@@ -152,6 +152,8 @@ def test_fractional_defaults_differ():
         ({"sweep.alphas": "0.3, 0.5, 5e-1"}, "sweep.alphas"),
         ({"lr.candidates": "0.01, 0.01"}, "lr.candidates"),
         ({"lr.candidates": "0.01, 0.02, 0.010"}, "lr.candidates"),
+        # a sweep needs at least one alpha
+        ({"sweep.alphas": ""}, "sweep.alphas"),
     ],
 )
 def test_rejections_name_the_field(overrides, bad_field):
@@ -342,7 +344,7 @@ def test_all_shipped_configs_parse():
     assert len(paths) == 6
     for path in paths:
         cfg = load_config(path)
-        problem = build_problem(cfg, alpha=0.5 if cfg.problem_name == "fractional_manufactured" else None)
+        problem = build_problem(cfg)
         build_map(cfg)
         build_grid(cfg)
         build_train_config(cfg)

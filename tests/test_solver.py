@@ -6,14 +6,12 @@ from bsann.network import eval_batch, load_params_csv
 from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
 from bsann.solver import (
     START_STEPS,
-    SolveResult,
     build_collocation,
     error_metrics,
     history_at,
     read_csv,
     read_numeric_csv,
     solve,
-    sweep_alpha,
     write_solution_outputs,
     write_surface_csv,
 )
@@ -209,45 +207,6 @@ def test_solve_divergence_carries_partial_result():
     assert not exc.partial.complete
     with pytest.raises(ValueError, match="partial"):
         error_metrics(exc.partial)
-
-
-def test_sweep_alpha_entries():
-    cfg = TrainConfig(eta=0.03, epochs_first=200, epochs_rest=100, seed=0)
-    outcomes = sweep_alpha(
-        fractional_manufactured, (0.4, 0.6), truncated_map(1.0), 3, 4, 12, cfg
-    )
-    assert len(outcomes) == 2
-    for result, alpha in zip(outcomes, (0.4, 0.6)):
-        assert isinstance(result, SolveResult) and result.complete
-        assert result.problem.alpha == alpha and result.grid.alpha == alpha
-        assert result.final_row().shape == (12,)
-        assert error_metrics(result).max_abs < 0.5
-        assert result.s_points.shape == (12,)
-
-
-def test_sweep_alpha_records_failures():
-    family = lambda alpha: european_call(0.05, 0.2, 10.0, 1.0)
-    cfg = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=100, epochs_rest=50, seed=0)
-    (exc,) = sweep_alpha(family, (1.0,), truncated_map(15.0), 20, 20, 150, cfg)
-    assert isinstance(exc, TrainingDiverged) and "diverged" in str(exc)
-    assert exc.step_index == 0 and exc.epoch < 100
-    assert exc.breakdown.shape[0] == exc.epoch + 1
-    assert not exc.partial.complete and exc.partial.surface.shape == (1, 150)
-    assert exc.partial.s_points.shape == (150,)
-    with pytest.raises(ValueError):
-        sweep_alpha(family, (), truncated_map(15.0), 2, 4, 10, cfg)
-
-
-def test_sweep_alpha_keeps_alpha_order_past_a_divergence():
-    # the middle alpha's problem diverges under sgd; the sweep goes on to the last
-    call = european_call(0.05, 0.2, 10.0, 1.0)
-    family = lambda alpha: fractional_manufactured(alpha) if alpha < 1.0 else call
-    cfg = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=100, epochs_rest=50, seed=0)
-    dmap = truncated_map(15.0)
-    first, middle, last = sweep_alpha(family, (0.4, 1.0, 0.6), dmap, 20, 20, 150, cfg)
-    assert isinstance(middle, TrainingDiverged) and middle.step_index == 0
-    for result, alpha in ((first, 0.4), (last, 0.6)):
-        assert isinstance(result, SolveResult) and result.problem.alpha == alpha
 
 
 def test_write_solution_outputs_inventory(tiny_solve, tmp_path):

@@ -414,7 +414,6 @@ def test_workspace_nbytes_counts_the_allocation(act):
     arrays += [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
     arrays += [a for group in ws.targets for a in group]
     state = OptimizerState.zeros(3 * n + 1)
-    state._scratch(3 * n + 1)
     arrays += [state.m, state.v, state.scratch]
     bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
              for a in arrays}
