@@ -6,6 +6,7 @@ from bsann.network import eval_batch, load_params_csv
 from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
 from bsann.solver import (
     START_STEPS,
+    SolveResult,
     build_collocation,
     error_metrics,
     history_at,
@@ -207,6 +208,20 @@ def test_solve_divergence_carries_partial_result():
     assert not exc.partial.complete
     with pytest.raises(ValueError, match="partial"):
         error_metrics(exc.partial)
+
+
+def test_sweep_alpha_entries():
+    # an alpha sweep is a loop of solve, one alpha at a time
+    cfg = TrainConfig(eta=0.03, epochs_first=200, epochs_rest=100, seed=0)
+    for alpha in (0.4, 0.6):
+        problem = fractional_manufactured(alpha)
+        grid = make_time_grid(3, problem.maturity, alpha)
+        result = solve(problem, truncated_map(1.0), grid, 4, 12, cfg)
+        assert isinstance(result, SolveResult) and result.complete
+        assert result.problem.alpha == alpha and result.grid.alpha == alpha
+        assert result.final_row().shape == (12,)
+        assert error_metrics(result).max_abs < 0.5
+        assert result.s_points.shape == (12,)
 
 
 def test_write_solution_outputs_inventory(tiny_solve, tmp_path):
