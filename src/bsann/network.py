@@ -10,7 +10,8 @@ one set per step allocates no (r, n) array per epoch with the identity head;
 eval_batch and param_grad make fresh ones. Parameter gradients come one group
 at a time (_group_grads), each a contiguous (r, n) array.
 
-Flat parameter layout (fixed order, length 3n+1):
+Flat parameter layout (fixed order, length 3n+1), which is also how
+NetworkParams stores them:
     hidden_weights[0:n], hidden_biases[n:2n], output_weights[2n:3n], output_bias
 """
 
@@ -34,55 +35,39 @@ def _check_activation(name: str) -> None:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """Parameters of a 1-n-1 network."""
+    """Parameters of a 1-n-1 network: one read-only vector in the flat layout."""
 
-    hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    output_weights: np.ndarray
-    output_bias: float
+    flat: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.hidden_weights, dtype=float)
-        b = np.asarray(self.hidden_biases, dtype=float)
-        v = np.asarray(self.output_weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("hidden_weights must be a non-empty 1-d array")
-        if b.shape != w.shape or v.shape != w.shape:
-            raise ValueError("hidden_biases and output_weights must match hidden_weights in shape")
-        object.__setattr__(self, "hidden_weights", w)
-        object.__setattr__(self, "hidden_biases", b)
-        object.__setattr__(self, "output_weights", v)
-        object.__setattr__(self, "output_bias", float(self.output_bias))
+        flat = np.array(self.flat, dtype=float)
+        if flat.ndim != 1 or flat.size < 4 or (flat.size - 1) % 3:
+            raise ValueError(f"flat vector must have length 3n+1 with n >= 1, got {flat.shape}")
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
 
     @property
     def n_hidden(self) -> int:
-        return self.hidden_weights.size
+        return (self.flat.size - 1) // 3
 
     @property
     def size(self) -> int:
-        return 3 * self.n_hidden + 1
+        return self.flat.size
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.hidden_weights, self.hidden_biases, self.output_weights, [self.output_bias]]
-        )
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, n_hidden: int) -> "NetworkParams":
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (3 * n_hidden + 1,):
             raise ValueError(f"flat vector must have length {3 * n_hidden + 1}, got {flat.shape}")
-        w, b, v, beta = _split_flat(flat, n_hidden)
-        return cls(w.copy(), b.copy(), v.copy(), float(beta))
+        return cls(flat)
 
 
 def _split_flat(flat: np.ndarray, n: int):
     """Views of the three weight groups and the output bias of a flat vector."""
     return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
-
-
-def _parts(params: NetworkParams):
-    return params.hidden_weights, params.hidden_biases, params.output_weights, params.output_bias
 
 
 @dataclass(frozen=True)
@@ -257,7 +242,7 @@ def eval_batch(params: NetworkParams, x: np.ndarray, output_activation: str = ID
     """Vectorized (value, d1, d2) arrays over a vector of inputs."""
     _check_activation(output_activation)
     h = PassBuffers(x, params.n_hidden)
-    return _forward(*_parts(params), h, output_activation)
+    return _forward(*_split_flat(params.flat, params.n_hidden), h, output_activation)
 
 
 def forward(params: NetworkParams, x: float, output_activation: str = IDENTITY) -> NetEval:
@@ -277,7 +262,7 @@ def param_grad(
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
     h = PassBuffers(np.array([float(x)]), params.n_hidden)
-    _forward(*_parts(params), h, output_activation)
+    _forward(*_split_flat(params.flat, params.n_hidden), h, output_activation)
     pick = {"value": 0, "d1": 1, "d2": 2}[target]
     g = [_group_grads(h, group, output_activation)[pick][0].copy() for group in range(4)]
     return NetworkParams.from_flat(np.concatenate(g), params.n_hidden)

@@ -4,7 +4,8 @@ One network is trained per time step. Step k starts from step k-1's
 parameters (warm start), so only the first step pays the full epoch budget.
 Option problems march in remaining time tau = T - t with the payoff as row 0;
 the fractional benchmark marches forward in t. The stored surface row k is
-exactly the trained network evaluated on the collocation grid after step k.
+the last pass of step k's training loop on the collocation grid,
+bit-identical to eval_batch at the stored parameters.
 
 Under the arctan map the grid's x = 1 entry is replaced by the map's
 right_eval_point. That surrogate column is evaluated and reported but kept
@@ -27,7 +28,8 @@ import numpy as np
 
 from .csvio import read_csv, read_numeric_csv, write_csv  # noqa: F401  (readers re-exported)
 from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
-from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv
+# nothing here calls eval_batch; bench/layers.py wraps bsann.solver.eval_batch
+from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv  # noqa: F401
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
 from .stepper import StepHistory, TimeGrid, spatial_rhs
 from .trainer import TrainConfig, TrainingDiverged, train_step_network
@@ -114,8 +116,9 @@ def solve(
     Steps 1 and 2 are backward Euler whatever theta is (Rannacher's start:
     two implicit steps damp the payoff's kink before a theta < 1 step sees
     it). Every later step uses theta, and takes the old step's spatial rhs
-    from the previous step's network and its exact input derivatives, so no
-    derivative of the data row is ever needed.
+    from the previous step's network and its exact input derivatives (the
+    last pass of its training), so no derivative of the data row is ever
+    needed.
 
     Raises TrainingDiverged with the failing step index and the partial
     result (completed rows) attached when a step's cost blows up.
@@ -165,7 +168,7 @@ def solve(
             raise
         walls.append(time.perf_counter() - t0)
         params = res.params
-        val, d1, d2 = eval_batch(params, colloc.points, output_activation)
+        val, d1, d2 = res.last_pass
         history.append(val)
         snapshots.append(params)
         breakdowns.append(res.breakdown)

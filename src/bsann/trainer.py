@@ -275,9 +275,10 @@ def _group_columns(ctx: StepContext, ws: _Workspace, group: int) -> None:
 
 def _context_cost_grad(
     ctx: StepContext, flat: np.ndarray, n: int, ws: _Workspace, row: np.ndarray, grad: bool = True
-) -> Optional[np.ndarray]:
-    """Write the cost terms (pde, left_bc, right_bc, total) into row; with grad,
-    return the flat cost gradient, which is ws.grad and the next call overwrites."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Write the cost terms (pde, left_bc, right_bc, total) into row and return
+    the pass it evaluated, (value, d1, d2) at ctx.points; with grad, also write
+    the flat cost gradient into ws.grad. The next call may overwrite all three."""
     w, b, v, beta = _split_flat(flat, n)
     val, d1, d2 = _forward(w, b, v, beta, ws.hidden, ctx.output_activation)
     m = ctx.n_pde
@@ -298,7 +299,7 @@ def _context_cost_grad(
     row[2] = right_sq
     row[3] = pde + left_sq + right_sq
     if not grad:
-        return None
+        return val, d1, d2
     for group in range(ws.epoch_groups):
         _group_columns(ctx, ws, group)
     # (resid @ jac) / r + 2*left_miss*g_value[left] + 2*right_miss*g_value[right]
@@ -309,7 +310,7 @@ def _context_cost_grad(
     out += scaled
     np.multiply(ws.rows[1], 2.0 * right_miss, out=scaled)
     out += scaled
-    return out
+    return val, d1, d2
 
 
 def step_cost(
@@ -351,8 +352,9 @@ def cost_gradient(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
     n = params.n_hidden
-    grad = _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n), np.empty(4))
-    return NetworkParams.from_flat(grad, n)
+    ws = _workspace(ctx, n)
+    _context_cost_grad(ctx, params.to_flat(), n, ws, np.empty(4))
+    return NetworkParams.from_flat(ws.grad, n)
 
 
 # The update steps work in place: they overwrite state and params and return
@@ -425,10 +427,11 @@ _STEP_FNS = {ADAM: adam_step, SGD: sgd_step, RMSPROP: rmsprop_step}
 
 @dataclass(frozen=True)
 class StepTrainResult:
-    """Trained parameters plus the recorded cost trajectory for one step."""
+    """Trained parameters, the recorded cost trajectory and the last pass."""
 
     params: NetworkParams
     breakdown: np.ndarray  # (epochs+1, 4): pde, left_bc, right_bc, total
+    last_pass: tuple       # (value, d1, d2) of params at colloc.points
 
 
 def train_step_network(
@@ -449,6 +452,8 @@ def train_step_network(
     The budget is cfg.epochs_first for the first step and cfg.epochs_rest
     afterwards (warm starts make the later steps cheap). The returned
     breakdown has epochs+1 rows; row e holds the cost after e updates.
+    The last pass, the cost-only one after the last update, is returned as
+    copies: bit for bit eval_batch(params, colloc.points, output_activation).
     """
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
@@ -462,13 +467,14 @@ def train_step_network(
     breakdown = np.empty((epochs + 1, 4))
     for e in range(epochs + 1):
         # the last pass only records the cost, so it skips the Jacobian
-        grad = _context_cost_grad(ctx, flat, n, ws, breakdown[e], e < epochs)
+        last = _context_cost_grad(ctx, flat, n, ws, breakdown[e], e < epochs)
         total = float(breakdown[e, 3])
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(e, total, step_index, breakdown[: e + 1].copy())
-        if grad is not None:
-            step_fn(state, flat, grad, cfg)
-    return StepTrainResult(params=NetworkParams.from_flat(flat, n), breakdown=breakdown)
+        if e < epochs:
+            step_fn(state, flat, ws.grad, cfg)
+    return StepTrainResult(NetworkParams.from_flat(flat, n), breakdown,
+                           tuple(a.copy() for a in last))
 
 
 @dataclass(frozen=True)

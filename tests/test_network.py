@@ -47,15 +47,30 @@ def test_flat_round_trip():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        NetworkParams(
-            hidden_weights=np.zeros(3),
-            hidden_biases=np.zeros(4),
-            output_weights=np.zeros(3),
-            output_bias=0.0,
-        )
+    # not 1-d, not 3n+1 long, and n = 0
+    for bad in (np.zeros((2, 10)), np.zeros(9), np.zeros(1)):
+        with pytest.raises(ValueError):
+            NetworkParams(bad)
     with pytest.raises(ValueError):
         NetworkParams.from_flat(np.zeros(9), 3)  # needs 10
+    with pytest.raises(ValueError):
+        NetworkParams.from_flat(np.zeros((2, 10)), 3)
+    with pytest.raises(ValueError):
+        NetworkParams.from_flat(np.zeros(1), 0)
+
+
+def test_params_store_a_read_only_copy():
+    source = np.arange(7.0)
+    params = NetworkParams.from_flat(source, 2)
+    source[0] = -1.0
+    assert params.flat[0] == 0.0
+    assert not params.flat.flags.writeable
+    with pytest.raises(ValueError):
+        params.flat[0] = 1.0
+    flat = params.to_flat()
+    assert flat.flags.writeable and not np.shares_memory(flat, params.flat)
+    flat[0] = 5.0
+    assert params.flat[0] == 0.0
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

@@ -146,8 +146,30 @@ def test_theta_half_starts_with_two_backward_euler_steps():
                           *eval_batch(prev, half.colloc.points))
     start = step_cost(prev, problem, dmap, grid, half.colloc, history_at(half, 2), 2,
                       0.5, rhs_old)
-    assert start.total == pytest.approx(half.breakdowns[2][0, 3], rel=1e-12)
+    assert start.total == half.breakdowns[2][0, 3]
     assert error_metrics(half).max_abs <= 1.1 * error_metrics(euler).max_abs
+
+
+_ROW_CASES = [(act, kind, theta, 1.0) for act in ("identity", "sigmoid")
+              for kind in ("truncated", "arctan") for theta in (1.0, 0.5)]
+
+
+@pytest.mark.parametrize("act,kind,theta,alpha", _ROW_CASES + [("identity", "truncated", 1.0, 0.5)])
+def test_stored_rows_are_the_stored_networks_on_the_grid(act, kind, theta, alpha):
+    # each surface row is its step's last training pass, which must equal a
+    # fresh evaluation of the stored parameters bit for bit
+    if alpha < 1.0:
+        problem, dmap = fractional_manufactured(alpha), truncated_map(1.0)
+    else:
+        problem = european_call(0.05, 0.2, 10.0, 1.0)
+        dmap = make_arctan_map(10.0, 0.6) if kind == "arctan" else truncated_map(15.0)
+    cfg = TrainConfig(eta=0.03, epochs_first=40, epochs_rest=10, seed=2)
+    result = solve(problem, dmap, make_time_grid(4, 1.0, alpha), 5, 12, cfg, theta,
+                   output_activation=act)
+    assert result.surface.shape == (5, 12)
+    for k, params in enumerate(result.params_per_step, start=1):
+        want = eval_batch(params, result.colloc.points, act)[0]
+        assert np.array_equal(result.surface[k], want)
 
 
 def test_option_marching_reports_calendar_time():

@@ -358,11 +358,17 @@ def test_workspace_carries_no_state_between_calls(case):
     bias_column = ws.jac[:, -1].copy()
     row, row_fresh, row_cost = np.empty((3, 4))
     for flat in (flat_a, flat_b, flat_a):
-        grad = _context_cost_grad(ctx, flat, n, ws, row).copy()
-        grad_fresh = _context_cost_grad(ctx, flat, n, _workspace(ctx, n), row_fresh)
-        assert np.array_equal(row, row_fresh) and np.array_equal(grad, grad_fresh)
-        assert _context_cost_grad(ctx, flat, n, ws, row_cost, grad=False) is None
-        assert np.array_equal(row_cost, row)
+        want = eval_batch(NetworkParams.from_flat(flat, n), ctx.points, act)
+        full = [a.copy() for a in _context_cost_grad(ctx, flat, n, ws, row)]
+        grad, fresh = ws.grad.copy(), _workspace(ctx, n)
+        _context_cost_grad(ctx, flat, n, fresh, row_fresh)
+        assert np.array_equal(row, row_fresh) and np.array_equal(grad, fresh.grad)
+        # the cost-only pass returns what eval_batch computes, bit for bit,
+        # records the full call's cost row and leaves the gradient alone
+        cost_only = _context_cost_grad(ctx, flat, n, ws, row_cost, grad=False)
+        assert np.array_equal(row_cost, row) and np.array_equal(ws.grad, grad)
+        for got, full_got, expected in zip(cost_only, full, want):
+            assert np.array_equal(got, expected) and np.array_equal(full_got, expected)
     if act == "identity":
         # the output-bias column, ((a_value*1) + (a_d1*0)) + a_d2*0, is set
         # once per step and never overwritten
