@@ -15,7 +15,9 @@ final row. Every run is reported as completed or diverged.
 Exit statuses: 0 success, 2 configuration error, 3 training diverged
 (solve: the march; compare and lr-search: every run; sweep-alpha: any
 alpha), 1 selftest failure. On exit 3 the partial outputs are still
-written. No other nonzero codes escape.
+written. An artifact that cannot be written is a config error on
+output.dir; the outputs written before it stay. No other nonzero codes
+escape.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .config import (
 from .csvio import write_csv
 from .plots import LineSeries, write_line_plot
 from .solver import (
+    ErrorSummary,
     SolveResult,
     build_collocation,
     error_metrics,
@@ -82,18 +85,19 @@ def _load(args, check: Optional[Callable[[RunConfig], None]] = None):
     return built
 
 
-def _solution_plots(out_dir: str, result: SolveResult) -> None:
-    """solution.svg, error.svg and cost.svg for a march with at least one
-    step; a partial march, like errors.csv, gets no exact curve and no error plot."""
-    final = result.final_row()
-    series = [LineSeries(result.s_points, result.surface[0], "data row")]
-    t_final = result.grid.horizon
-    exact = result.problem.exact is not None and result.complete
-    if exact:
-        series.append(
-            LineSeries(result.s_points, result.problem.exact(result.s_points, t_final), "exact")
-        )
-    series.append(LineSeries(result.s_points, final, "network"))
+def _solution_plots(out_dir: str, result: SolveResult, summary: Optional[ErrorSummary]) -> None:
+    """solution.svg, error.svg and cost.svg for a march with at least one step.
+
+    solution.svg and error.svg cover the first colloc.n_pde columns, so an
+    arctan grid's x = 1 surrogate is not drawn. Without a summary (no exact
+    solution, or a partial march) there is no exact curve and no error plot.
+    """
+    n = result.colloc.n_pde
+    s = result.s_points[:n]
+    series = [LineSeries(s, result.surface[0, :n], "data row")]
+    if summary is not None:
+        series.append(LineSeries(s, result.problem.exact(s, result.grid.horizon), "exact"))
+    series.append(LineSeries(s, result.final_row()[:n], "network"))
     steps = result.surface.shape[0] - 1
     done = f"{steps}" if result.complete else f"{steps} of {result.grid.n_steps}"
     write_line_plot(
@@ -101,11 +105,10 @@ def _solution_plots(out_dir: str, result: SolveResult) -> None:
         title=f"{result.problem.name}: solution after {done} steps",
         x_label="S", y_label="U",
     )
-    if exact:
-        summary = error_metrics(result, exclude_surrogate=False)
+    if summary is not None:
         write_line_plot(
             os.path.join(out_dir, "error.svg"),
-            [LineSeries(result.s_points, summary.abs_errors, "abs error")],
+            [LineSeries(s, summary.abs_errors[:n], "abs error")],
             title=f"{result.problem.name}: pointwise error", x_label="S",
             y_label="abs error", log_y=True,
         )
@@ -130,13 +133,15 @@ def cmd_solve(args) -> int:
     except TrainingDiverged as exc:
         result, diverged = exc.partial, exc
     write_solution_outputs(cfg.out_dir, result)
+    summary = None
+    if problem.exact is not None and result.complete:
+        summary = error_metrics(result)
     if cfg.plots and result.breakdowns:
-        _solution_plots(cfg.out_dir, result)
+        _solution_plots(cfg.out_dir, result, summary)
     if diverged is not None:
         print(f"error: {diverged}", file=sys.stderr)
         return EXIT_DIVERGED
-    if problem.exact is not None:
-        summary = error_metrics(result)
+    if summary is not None:
         print(f"max abs error {summary.max_abs:.6e}, mean {summary.mean_abs:.6e}")
     print(f"wrote {cfg.out_dir}/surface.csv ({grid.n_steps} steps, {cfg.n_points} points)")
     return EXIT_OK
@@ -433,6 +438,9 @@ def main(argv: Optional[list] = None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an artifact that cannot be written; earlier ones stay
+        print(f"config error: output.dir: cannot write: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -8,9 +8,10 @@ the last pass of step k's training loop on the collocation grid,
 bit-identical to eval_batch at the stored parameters.
 
 Under the arctan map the grid's x = 1 entry is replaced by the map's
-right_eval_point. That surrogate column is evaluated and reported but kept
-out of the residual sum and, by default, out of error metrics; the far-field
-boundary condition is imposed at the outermost finite grid point.
+right_eval_point. That surrogate column is stored in the surface and its raw
+error in errors.csv, but it is no residual row: the far-field boundary
+condition is imposed at the outermost finite grid point, and error maxima,
+means and plots cover the first colloc.n_pde columns only.
 
 A diverged march raises TrainingDiverged with the completed rows attached as
 a partial SolveResult, so these two records describe every solve. An alpha
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -65,11 +66,6 @@ class SolveResult:
     wall_times: np.ndarray                   # seconds per step
     theta: float = 1.0
     output_activation: str = IDENTITY
-
-    @property
-    def surrogate_index(self) -> Optional[int]:
-        """Column of the arctan grid's x = 1 surrogate; None without one."""
-        return self.colloc.n_pde if self.colloc.n_pde < self.colloc.count else None
 
     @property
     def natural_times(self) -> np.ndarray:
@@ -181,14 +177,16 @@ def solve(
 @dataclass(frozen=True)
 class ErrorSummary:
     abs_errors: np.ndarray      # per collocation point at the reporting time
-    log10_abs: np.ndarray
-    used: np.ndarray            # boolean mask of points entering the maxima
-    max_abs: float
+    max_abs: float              # over the first colloc.n_pde points
     mean_abs: float
 
 
-def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorSummary:
-    """Pointwise errors against the problem's exact solution at the final time."""
+def error_metrics(result: SolveResult) -> ErrorSummary:
+    """Pointwise errors against the problem's exact solution at the final time.
+
+    abs_errors covers every column; the maximum and mean leave out an arctan
+    grid's x = 1 surrogate, which lies past the first colloc.n_pde columns.
+    """
     if result.problem.exact is None:
         raise ValueError(f"problem {result.problem.name!r} has no exact solution")
     if not result.complete:
@@ -196,17 +194,8 @@ def error_metrics(result: SolveResult, exclude_surrogate: bool = True) -> ErrorS
     t_final = result.grid.horizon
     exact = np.asarray(result.problem.exact(result.s_points, t_final), dtype=float)
     abs_err = np.abs(exact - result.final_row())
-    used = np.ones(abs_err.size, dtype=bool)
-    if exclude_surrogate and result.surrogate_index is not None:
-        used[result.surrogate_index] = False
-    log10 = np.log10(np.maximum(abs_err, 1e-300))
-    return ErrorSummary(
-        abs_errors=abs_err,
-        log10_abs=log10,
-        used=used,
-        max_abs=float(abs_err[used].max()),
-        mean_abs=float(abs_err[used].mean()),
-    )
+    used = abs_err[:result.colloc.n_pde]
+    return ErrorSummary(abs_errors=abs_err, max_abs=float(used.max()), mean_abs=float(used.mean()))
 
 
 def write_surface_csv(path, result: SolveResult) -> None:
@@ -221,8 +210,8 @@ def write_surface_csv(path, result: SolveResult) -> None:
 
 def write_errors_csv(path, result: SolveResult) -> None:
     """Rows (S, abs_err, log10_abs_err) at the reporting time."""
-    summary = error_metrics(result, exclude_surrogate=False)
-    columns = (result.s_points, summary.abs_errors, summary.log10_abs)
+    abs_err = error_metrics(result).abs_errors
+    columns = (result.s_points, abs_err, np.log10(np.maximum(abs_err, 1e-300)))
     write_csv(path, ("S", "abs_err", "log10_abs_err"), np.column_stack(columns).tolist())
 
 

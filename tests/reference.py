@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from bsann.stepper import StepHistory, l1_history
+
 
 def theta_residual(theta, dt, old_values, new_values, rhs_old, rhs_new):
     """Ordinary theta-scheme residual (theta = 1 fully implicit)."""
@@ -106,3 +108,45 @@ def blocks_cost_gradient(ctx, flat, n):
         + 2.0 * right_miss * g_val[m - 1]
     )
     return grad, jac, g_val[[0, m - 1]]
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Solve a tridiagonal system; lower[0] and upper[-1] are not read."""
+    lo, di, up, d = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    c = [up[0] / di[0]]
+    d[0] /= di[0]
+    for i in range(1, len(di)):
+        den = di[i] - lo[i] * c[i - 1]
+        c.append(up[i] / den)
+        d[i] = (d[i] - lo[i] * d[i - 1]) / den
+    for i in range(len(di) - 2, -1, -1):
+        d[i] -= c[i] * d[i + 1]
+    return np.array(d)
+
+
+def fd_error_floor(problem, s_max, grid, s_eval, m):
+    """Max error at s_eval of a finite-difference march: the error that a
+    perfect fit at every step of the network march would leave.
+
+    Each step solves the solver's own time scheme, coef*(U + acc) = L U + f
+    from l1_history, with central differences in S on m intervals of
+    [0, s_max] and the problem's Dirichlet values at both ends.
+    """
+    s = np.linspace(0.0, s_max, m + 1)
+    h = s_max / m
+    op = problem.operator
+    g1 = np.asarray(op.gamma1(s[1:-1]), dtype=float) / (h * h)
+    g2 = np.asarray(op.gamma2(s[1:-1]), dtype=float) / (2.0 * h)
+    lower, upper = -(g1 - g2), -(g1 + g2)
+    history = StepHistory(problem.data(s))
+    for k in range(grid.n_steps):
+        t = (k + 1) * grid.dt
+        coef, acc = l1_history(grid, history, k)
+        left, right = problem.left_bc(s[0], t), problem.right_bc(s[-1], t)
+        rhs = op.forcing(s[1:-1], t) - coef * acc[1:-1]
+        rhs[0] -= lower[0] * left
+        rhs[-1] -= upper[-1] * right
+        inner = _thomas(lower, coef + 2.0 * g1 - op.gamma3, upper, rhs)
+        history.append(np.concatenate(([left], inner, [right])))
+    fd = np.interp(s_eval, s, history.row(grid.n_steps))
+    return float(np.max(np.abs(fd - problem.exact(s_eval, grid.horizon))))

@@ -1,5 +1,6 @@
 import gc
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -255,6 +256,60 @@ def test_partial_march_is_plotted_without_the_exact_price(tmp_path, capsys):
     svg = (out / "solution.svg").read_text(encoding="utf-8")
     assert "solution after 1 of 20 steps" in svg and "exact" not in svg
     assert "cost.svg" in names
+
+
+# the x-axis tick labels of a bsann SVG plot (y-axis labels are end-anchored)
+X_TICK = re.compile(r'text-anchor="middle" font-family="sans-serif" font-size="11" '
+                    r'fill="#333">([^<]+)</text>')
+
+
+def test_arctan_plots_leave_the_surrogate_out(tmp_path, capsys):
+    out = tmp_path / "out"
+    text = (
+        "problem.name = european_call\n"
+        "map.kind = arctan\n"
+        "grid.n_steps = 2\n"
+        "points.count = 10\n"
+        "network.n_hidden = 4\n"
+        "training.epochs_first = 20\n"
+        "training.epochs_rest = 10\n"
+        f"output.dir = {out}\n"
+    )
+    assert main(["solve", "--config", write_cfg(tmp_path, text)]) == 0
+    capsys.readouterr()
+    # the x = 1 surrogate sits near S = 4.6e7; the plots end at the last finite point
+    for name in ("solution.svg", "error.svg"):
+        ticks = [float(t) for t in X_TICK.findall((out / name).read_text(encoding="utf-8"))]
+        assert ticks and max(ticks) < 1e6
+    # errors.csv is a raw table and keeps the surrogate row
+    _, errors = read_numeric_csv(out / "errors.csv")
+    assert errors.shape[0] == 10 and errors[-1, 0] > 1e6
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text, blocked, written",
+    [
+        ("solve", constant_cfg, "surface.csv", None),
+        ("solve", constant_cfg, "cost.svg", "errors.csv"),
+        ("compare", lambda out: constant_cfg(out, "compare.optimizers = adam\n"),
+         "compare.csv", "cost_adam.csv"),
+        ("lr-search", lambda out: constant_cfg(out, "lr.candidates = 0.01\nlr.probe_epochs = 5\n"),
+         "lr_search.csv", None),
+        ("sweep-alpha", lambda out: fractional_cfg(out, "sweep.alphas = 0.5\n"),
+         "sweep_status.csv", "sweep.csv"),
+    ],
+    ids=["solve-csv", "solve-svg", "compare", "lr-search", "sweep-alpha"],
+)
+def test_an_unwritable_artifact_exits_2_and_keeps_earlier_outputs(
+    tmp_path, capsys, command, cfg_text, blocked, written
+):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main([command, "--config", write_cfg(tmp_path, cfg_text(out))]) == 2
+    err = capsys.readouterr().err
+    assert "config error: output.dir: cannot write" in err and blocked in err
+    if written is not None:
+        assert (out / written).is_file()
 
 
 def call_cfg(out_dir, extra=""):

@@ -91,7 +91,7 @@ def test_solve_surface_shape_and_data_row(tiny_solve):
     assert result.wall_times.shape == (3,)
     assert result.breakdowns[0].shape == (301, 4)
     assert result.breakdowns[1].shape == (151, 4)
-    assert result.surrogate_index is None
+    assert result.colloc.n_pde == result.colloc.count  # no surrogate column
     assert np.allclose(result.natural_times, grid.times())
 
 
@@ -198,13 +198,13 @@ def test_error_metrics_surrogate_mask():
     grid = make_time_grid(2, 1.0, 1.0)
     cfg = TrainConfig(epochs_first=40, epochs_rest=20, seed=0)
     result = solve(problem, dmap, grid, 5, 6, cfg)
-    assert result.surrogate_index == 5
-    excl = error_metrics(result)
-    incl = error_metrics(result, exclude_surrogate=False)
-    assert not excl.used[5] and incl.used.all()
-    assert excl.max_abs == np.abs(excl.abs_errors[:5]).max()
-    # the surrogate sits at a price ~1e7 where the raw error is enormous
-    assert incl.max_abs > 1e6 > excl.max_abs
+    assert result.colloc.n_pde == 5
+    summary = error_metrics(result)
+    assert summary.max_abs == summary.abs_errors[:5].max()
+    assert summary.mean_abs == summary.abs_errors[:5].mean()
+    # the surrogate sits at a price ~1e7 where the raw error is enormous;
+    # abs_errors keeps it, the maximum leaves it out
+    assert summary.abs_errors[5] > 1e6 > summary.max_abs
 
 
 def test_error_metrics_requires_exact(tiny_solve):
@@ -283,8 +283,9 @@ def test_errors_and_cost_and_timing_csv(tiny_solve, tmp_path):
     header, mat = read_numeric_csv(tmp_path / "errors.csv")
     assert header == ("S", "abs_err", "log10_abs_err")
     assert mat.shape == (12, 3)
-    summary = error_metrics(result, exclude_surrogate=False)
+    summary = error_metrics(result)
     assert np.array_equal(mat[:, 1], summary.abs_errors)
+    assert np.array_equal(mat[:, 2], np.log10(np.maximum(summary.abs_errors, 1e-300)))
     header, mat = read_numeric_csv(tmp_path / "cost_step_1.csv")
     assert header == ("epoch", "pde_term", "left_bc_term", "right_bc_term", "total")
     assert mat.shape == (301, 5)
