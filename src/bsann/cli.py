@@ -15,9 +15,9 @@ final row. Every run is reported as completed or diverged.
 Exit statuses: 0 success, 2 configuration error, 3 training diverged
 (solve: the march; compare and lr-search: every run; sweep-alpha: any
 alpha), 1 selftest failure. On exit 3 the partial outputs are still
-written. An artifact that cannot be written is a config error on
-output.dir; the outputs written before it stay. No other nonzero codes
-escape.
+written. An output directory that cannot be created and an artifact that
+cannot be written are the same config error on output.dir; the outputs
+written before it stay. No other nonzero codes escape.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .solver import (
     write_cost_csv,
     write_solution_outputs,
 )
-from .trainer import TrainingDiverged, lr_grid_search, probe_first_step
+from .trainer import ProbeRun, TrainingDiverged, lr_grid_search, probe_first_step
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -78,10 +78,7 @@ def _load(args, check: Optional[Callable[[RunConfig], None]] = None):
     if check is not None:
         check(cfg)
     built = (cfg, build_problem(cfg), build_map(cfg), build_grid(cfg), build_train_config(cfg))
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError("output.dir", f"cannot create {cfg.out_dir}: {exc}") from None
+    os.makedirs(cfg.out_dir, exist_ok=True)
     return built
 
 
@@ -132,10 +129,7 @@ def cmd_solve(args) -> int:
         )
     except TrainingDiverged as exc:
         result, diverged = exc.partial, exc
-    write_solution_outputs(cfg.out_dir, result)
-    summary = None
-    if problem.exact is not None and result.complete:
-        summary = error_metrics(result)
+    summary = write_solution_outputs(cfg.out_dir, result)
     if cfg.plots and result.breakdowns:
         _solution_plots(cfg.out_dir, result, summary)
     if diverged is not None:
@@ -145,6 +139,11 @@ def cmd_solve(args) -> int:
         print(f"max abs error {summary.max_abs:.6e}, mean {summary.mean_abs:.6e}")
     print(f"wrote {cfg.out_dir}/surface.csv ({grid.n_steps} steps, {cfg.n_points} points)")
     return EXIT_OK
+
+
+def _status(run: ProbeRun) -> tuple:
+    """A probe run's (status, diverged_epoch cell) for compare.csv and lr_search.csv."""
+    return ("completed", "") if run.diverged_epoch is None else ("diverged", run.diverged_epoch)
 
 
 def cmd_compare(args) -> int:
@@ -158,8 +157,7 @@ def cmd_compare(args) -> int:
     rows = []
     for name, run in zip(cfg.compare_optimizers, runs):
         write_cost_csv(os.path.join(cfg.out_dir, f"cost_{name}.csv"), run.breakdown)
-        status = "diverged" if run.diverged_epoch is not None else "completed"
-        div = "" if run.diverged_epoch is None else run.diverged_epoch
+        status, div = _status(run)
         epochs = run.breakdown.shape[0] - 1
         rows.append((name, status, epochs, div, run.final_cost, run.seconds, run.seconds_per_epoch))
         series.append(LineSeries(np.arange(run.trace.size), run.trace, f"{name} ({status})"))
@@ -248,14 +246,13 @@ def cmd_lr_search(args) -> int:
         cfg.lr_probe_epochs, cfg.init_scale, cfg.output_activation,
     )
     etas = cfg.lr_candidates
+    rows = []
+    for eta, run in zip(etas, runs):
+        status, div = _status(run)
+        rows.append((eta, status, run.final_cost, div))
     write_csv(
         os.path.join(cfg.out_dir, "lr_search.csv"),
-        ("eta", "status", "final_cost", "diverged_epoch"),
-        [
-            (eta, "completed", run.final_cost, "") if run.diverged_epoch is None
-            else (eta, "diverged", run.final_cost, run.diverged_epoch)
-            for eta, run in zip(etas, runs)
-        ],
+        ("eta", "status", "final_cost", "diverged_epoch"), rows,
     )
     done = [(eta, run.final_cost) for eta, run in zip(etas, runs) if run.diverged_epoch is None]
     if cfg.plots and done:
@@ -401,33 +398,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "Black-Scholes problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_config=True):
-        if needs_config:
+    for name, fn, help_text in (
+        ("solve", cmd_solve, "march a configured problem"),
+        ("compare", cmd_compare, "first-step optimizer comparison"),
+        ("sweep-alpha", cmd_sweep_alpha, "fractional benchmark across alphas"),
+        ("lr-search", cmd_lr_search, "learning-rate grid search"),
+        ("selftest", cmd_selftest, "run the fast invariant suite"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        if fn is not cmd_selftest:
             p.add_argument("--config", required=True, help="path to a key=value config file")
-        p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
-        p.add_argument("--seed", type=int, default=None, help="seed override (network.seed)")
-        p.add_argument("--no-plots", action="store_true", help="skip SVG plot emission")
-
-    p_solve = sub.add_parser("solve", help="march a configured problem")
-    add_common(p_solve)
-    p_solve.set_defaults(fn=cmd_solve)
-
-    p_cmp = sub.add_parser("compare", help="first-step optimizer comparison")
-    add_common(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
-
-    p_sweep = sub.add_parser("sweep-alpha", help="fractional benchmark across alphas")
-    add_common(p_sweep)
-    p_sweep.set_defaults(fn=cmd_sweep_alpha)
-
-    p_lr = sub.add_parser("lr-search", help="learning-rate grid search")
-    add_common(p_lr)
-    p_lr.set_defaults(fn=cmd_lr_search)
-
-    p_self = sub.add_parser("selftest", help="run the fast invariant suite")
-    p_self.set_defaults(fn=cmd_selftest)
-
+            p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
+            p.add_argument("--seed", type=int, default=None, help="seed override (network.seed)")
+            p.add_argument("--no-plots", action="store_true", help="skip SVG plot emission")
     return parser
 
 
@@ -439,7 +423,7 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:  # an artifact that cannot be written; earlier ones stay
+    except OSError as exc:  # an output dir or artifact that cannot be written; earlier ones stay
         print(f"config error: output.dir: cannot write: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -33,7 +33,7 @@ from .problems import (
     european_put,
     fractional_manufactured,
 )
-from .solver import build_collocation
+from .solver import build_collocation, kept_nbytes
 from .stepper import SpatialOperator, TimeGrid, make_time_grid
 from .trainer import ADAM, OPTIMIZERS, TrainConfig, workspace_nbytes
 
@@ -310,12 +310,10 @@ def _check_sizes(cfg: RunConfig) -> None:
                         ("lr.probe_epochs", cfg.lr_probe_epochs)):
         if 32 * (epochs + 1) > limit:
             raise ConfigError(key, f"the cost breakdown of {epochs} epochs passes {limit} bytes")
-    # a solve keeps the solution surface and every step's breakdown; sweep-alpha
-    # holds one solve at a time, so the bound covers a sweep too
-    kept = 8 * (n_steps + 1) * n_points + 32 * (cfg.epochs_first + 1 + (n_steps - 1) * (cfg.epochs_rest + 1))
-    if kept > limit:
+    # sweep-alpha holds one solve at a time, so the bound covers a sweep too
+    if kept_nbytes(n_points, n_hidden, n_steps, cfg.epochs_first, cfg.epochs_rest) > limit:
         raise ConfigError("grid.n_steps", f"{n_steps} steps keep more than {limit} bytes "
-                          "of solution surface and cost breakdowns")
+                          "of solution surface, cost breakdowns and parameters")
 
 
 def load_config(path: str) -> RunConfig:

@@ -21,9 +21,10 @@ sweep is one solve per alpha (see cli's sweep-alpha). First-step probes
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -174,6 +175,13 @@ def solve(
     return result()
 
 
+def kept_nbytes(r: int, n: int, n_steps: int, epochs_first: int, epochs_rest: int) -> int:
+    """Bytes a complete solve keeps: the surface buffer, and per step one
+    (epochs+1, 4) cost breakdown and one flat vector of 3n+1 parameters."""
+    epochs = epochs_first + 1 + (n_steps - 1) * (epochs_rest + 1)
+    return StepHistory.nbytes(n_steps, r) + 32 * epochs + 8 * n_steps * (3 * n + 1)
+
+
 @dataclass(frozen=True)
 class ErrorSummary:
     abs_errors: np.ndarray      # per collocation point at the reporting time
@@ -208,9 +216,9 @@ def write_surface_csv(path, result: SolveResult) -> None:
     ))
 
 
-def write_errors_csv(path, result: SolveResult) -> None:
+def write_errors_csv(path, result: SolveResult, summary: ErrorSummary) -> None:
     """Rows (S, abs_err, log10_abs_err) at the reporting time."""
-    abs_err = error_metrics(result).abs_errors
+    abs_err = summary.abs_errors
     columns = (result.s_points, abs_err, np.log10(np.maximum(abs_err, 1e-300)))
     write_csv(path, ("S", "abs_err", "log10_abs_err"), np.column_stack(columns).tolist())
 
@@ -231,16 +239,20 @@ def write_timing_csv(path, result: SolveResult) -> None:
     ))
 
 
-def write_solution_outputs(out_dir, result: SolveResult) -> None:
-    """surface.csv, errors.csv (when exact), cost_step_k.csv, params_step_k.csv, timing.csv."""
-    import os
+def write_solution_outputs(out_dir, result: SolveResult) -> Optional[ErrorSummary]:
+    """surface.csv, errors.csv (when exact), cost_step_k.csv, params_step_k.csv, timing.csv.
 
+    Returns the solve's one error summary, which errors.csv is written from, or
+    None when the problem has no exact solution or the march is partial."""
     os.makedirs(out_dir, exist_ok=True)
     write_surface_csv(os.path.join(out_dir, "surface.csv"), result)
+    summary = None
     if result.problem.exact is not None and result.complete:
-        write_errors_csv(os.path.join(out_dir, "errors.csv"), result)
+        summary = error_metrics(result)
+        write_errors_csv(os.path.join(out_dir, "errors.csv"), result, summary)
     for i, breakdown in enumerate(result.breakdowns):
         write_cost_csv(os.path.join(out_dir, f"cost_step_{i + 1}.csv"), breakdown)
     for i, params in enumerate(result.params_per_step):
         save_params_csv(params, os.path.join(out_dir, f"params_step_{i + 1}.csv"))
     write_timing_csv(os.path.join(out_dir, "timing.csv"), result)
+    return summary

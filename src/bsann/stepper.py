@@ -113,6 +113,11 @@ class StepHistory:
         self._buf[self._count] = row
         self._count += 1
 
+    @staticmethod
+    def nbytes(n_steps: int, r: int) -> int:
+        """Bytes of the buffer after n_steps appends: its capacity doubles from 1 row."""
+        return 8 * (1 << n_steps.bit_length()) * r
+
     def values(self) -> np.ndarray:
         """Read-only (steps_completed + 1, n_points) view, row k = step k."""
         view = self._buf[: self._count]

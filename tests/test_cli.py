@@ -344,9 +344,16 @@ def test_probes_do_not_depend_on_theta(tmp_path, capsys, command, extra, csvs):
 
 
 def test_missing_config_flag_is_usage_error(capsys):
+    for command in ("solve", "compare", "sweep-alpha", "lr-search"):
+        with pytest.raises(SystemExit) as info:
+            main([command])
+        assert info.value.code == 2
+        assert "--config" in capsys.readouterr().err
+    # selftest takes no config
     with pytest.raises(SystemExit) as info:
-        main(["solve"])
+        main(["selftest", "--config", "x"])
     assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["not-a-command"])
     capsys.readouterr()

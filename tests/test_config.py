@@ -184,6 +184,21 @@ def test_size_keys_past_the_byte_limit_are_rejected(overrides, bad_field):
     assert info.value.field == bad_field
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # 10000 kept parameter vectors of 300001 doubles: 24 GB
+        {"network.n_hidden": "100000", "points.count": "2", "grid.n_steps": "10000"},
+        # 1025 surface rows live in a 2048-row buffer: 1.31 GB
+        {"grid.n_steps": "1024", "points.count": "80000", "network.n_hidden": "1"},
+    ],
+)
+def test_kept_parameters_and_the_doubled_surface_buffer_count(overrides):
+    with pytest.raises(ConfigError) as info:
+        config_from_mapping(with_(**overrides))
+    assert info.value.field == "grid.n_steps"
+
+
 def test_sizes_within_the_byte_limit_pass():
     assert config_from_mapping(with_(**{"lr.probe_epochs": str(MAX_EPOCHS)})).lr_probe_epochs == MAX_EPOCHS
     assert config_from_mapping(with_(**{"grid.n_steps": "10000"})).n_steps == 10000

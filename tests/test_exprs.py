@@ -91,7 +91,7 @@ def test_error_is_a_value_error():
         compile_expression("import os", ("S",))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @example("+".join(["S"] * 100_000))
 @example("-" * 100_000 + "S")
 @given(st.one_of(st.text(), st.text(alphabet="S+-*/() 0123456789.e,maxinlogtp_")))

@@ -10,6 +10,7 @@ from bsann.solver import (
     build_collocation,
     error_metrics,
     history_at,
+    kept_nbytes,
     read_csv,
     read_numeric_csv,
     solve,
@@ -230,6 +231,36 @@ def test_solve_divergence_carries_partial_result():
     assert not exc.partial.complete
     with pytest.raises(ValueError, match="partial"):
         error_metrics(exc.partial)
+
+
+def test_write_solution_outputs_returns_the_summary_it_wrote(tiny_solve, tmp_path):
+    _, dmap, grid, cfg, result = tiny_solve
+    summary = write_solution_outputs(tmp_path / "complete", result)
+    expect = error_metrics(result)
+    assert np.array_equal(summary.abs_errors, expect.abs_errors)
+    assert (summary.max_abs, summary.mean_abs) == (expect.max_abs, expect.mean_abs)
+    # no exact solution: no errors.csv and no summary
+    inexact = solve(constant_problem(exact=False), dmap, grid, 4, 12, cfg)
+    assert write_solution_outputs(tmp_path / "inexact", inexact) is None
+    assert not (tmp_path / "inexact" / "errors.csv").exists()
+    # a partial march has no row at the reporting time
+    sgd = TrainConfig(optimizer="sgd", eta=0.03, epochs_first=5000, epochs_rest=1200, seed=0)
+    with pytest.raises(TrainingDiverged) as info:
+        solve(european_call(0.05, 0.2, 10.0, 1.0), truncated_map(15.0),
+              make_time_grid(20, 1.0, 1.0), 20, 150, sgd)
+    assert write_solution_outputs(tmp_path / "partial", info.value.partial) is None
+    assert not (tmp_path / "partial" / "errors.csv").exists()
+
+
+@pytest.mark.parametrize("n_steps", [1, 4, 5, 7, 8])
+def test_kept_nbytes_counts_what_a_solve_holds(n_steps):
+    cfg = TrainConfig(eta=0.03, epochs_first=6, epochs_rest=3, seed=1)
+    result = solve(constant_problem(), truncated_map(2.0), make_time_grid(n_steps, 1.0), 4, 12, cfg)
+    # the surface is a view of the march's whole history buffer
+    held = result.surface.base.nbytes
+    held += sum(b.nbytes for b in result.breakdowns)
+    held += sum(p.flat.nbytes for p in result.params_per_step)
+    assert kept_nbytes(12, 4, n_steps, 6, 3) == held
 
 
 def test_sweep_alpha_entries():
