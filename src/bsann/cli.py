@@ -14,10 +14,11 @@ final row. Every run is reported as completed or diverged.
 
 Exit statuses: 0 success, 2 configuration error, 3 training diverged
 (solve: the march; compare and lr-search: every run; sweep-alpha: any
-alpha), 1 selftest failure. On exit 3 the partial outputs are still
-written. An output directory that cannot be created and an artifact that
-cannot be written are the same config error on output.dir; the outputs
-written before it stay. No other nonzero codes escape.
+alpha), 1 selftest failure or a stdout closed before the command finished
+reporting. On exit 3 the partial outputs are still written. An output
+directory that cannot be created and an artifact that cannot be written are
+the same config error on output.dir; the outputs written before it stay.
+No other nonzero codes escape.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .config import (
 )
 from .csvio import write_csv
 from .plots import LineSeries, write_line_plot
+from .problems import FRACTIONAL
 from .solver import (
     ErrorSummary,
     SolveResult,
@@ -54,7 +56,7 @@ from .solver import (
 from .trainer import ProbeRun, TrainingDiverged, lr_grid_search, probe_first_step
 
 EXIT_OK = 0
-EXIT_SELFTEST = 1
+EXIT_FAILED = 1  # a selftest check failed, or stdout closed before the report ended
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
@@ -183,7 +185,7 @@ def cmd_compare(args) -> int:
 def _check_sweep_alpha(cfg: RunConfig) -> None:
     if cfg.sweep_alphas is None:
         raise ConfigError("sweep.alphas", "required key is missing")
-    if cfg.problem_name != "fractional_manufactured":
+    if cfg.problem_name != FRACTIONAL:
         raise ConfigError("problem.name", "sweep-alpha applies to the fractional benchmark")
 
 
@@ -386,7 +388,7 @@ def cmd_selftest(_args) -> int:
             print(f"PASS {name}")
     if failures:
         print(f"{failures} check(s) failed")
-        return EXIT_SELFTEST
+        return EXIT_FAILED
     print("all checks passed")
     return EXIT_OK
 
@@ -419,10 +421,16 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a pipe closed before this last flush fails here, not at exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:  # nothing reads stdout any more: the report could not be given
+        # so that interpreter shutdown does not flush into the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAILED
     except OSError as exc:  # an output dir or artifact that cannot be written; earlier ones stay
         print(f"config error: output.dir: cannot write: {exc}", file=sys.stderr)
         return EXIT_CONFIG

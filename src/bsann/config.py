@@ -3,31 +3,36 @@
 A config file is plain text, one `section.key = value` per line, `#`
 comments and blank lines ignored. Every key is declared once, in KEYS: the
 RunConfig field it fills, its parser, its default (or REQUIRED), its range
-rule, and the problems and map kinds it applies to. A key that is unknown,
-missing where it is required, out of range or given where it does not apply
-raises ConfigError naming the key, and so does each of the few rules that
-tie keys together; the CLI turns it into exit status 2 before any
-computation starts.
+rule, and the problems and map kinds it applies to. RunConfig is made from
+KEYS, one field per key plus `plots`. A choice key accepts the tuple that
+its owning module checks against (mapping, problems, network, trainer). A
+key that is unknown, missing where it is required, out of range or given
+where it does not apply raises ConfigError naming the key, and so does each
+of the few rules that tie keys together; the CLI turns it into exit status
+2 before any computation starts.
 
-The four shipped problems cover the built-in catalog; `problem.name =
-custom` builds an operator from expression strings (see exprs) so other
-linear parabolic problems fit without code changes.
+`problem.name` selects one of the built-in problems of bsann.problems, or
+`custom`, which builds an operator from expression strings (see exprs) so
+other linear parabolic problems fit without code changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .exprs import ExpressionError, compile_expression
-from .mapping import ARCTAN, TRUNCATED, DomainMap, from_x, make_arctan_map, truncated_map
-from .network import IDENTITY, SIGMOID
+from .mapping import ARCTAN, MAP_KINDS, TRUNCATED, DomainMap, from_x, make_arctan_map, truncated_map
+from .network import ACTIVATIONS, IDENTITY
 from .problems import (
-    INITIAL_DATA,
-    TERMINAL_PAYOFF,
+    BUILTIN_NAMES,
+    CALL,
+    DATA_KINDS,
+    FRACTIONAL,
+    PUT,
     ProblemSpec,
     european_call,
     european_put,
@@ -37,8 +42,8 @@ from .solver import build_collocation, kept_nbytes
 from .stepper import SpatialOperator, TimeGrid, make_time_grid
 from .trainer import ADAM, OPTIMIZERS, TrainConfig, workspace_nbytes
 
-CALL, PUT, FRACTIONAL, CUSTOM = "european_call", "european_put", "fractional_manufactured", "custom"
-PROBLEM_NAMES = (CALL, PUT, FRACTIONAL, CUSTOM)
+CUSTOM = "custom"
+PROBLEM_NAMES = BUILTIN_NAMES + (CUSTOM,)
 OPTIONS = (CALL, PUT)
 
 # no single buffer that a run sizes from its config may pass this many bytes:
@@ -127,19 +132,19 @@ def _at_least(low: int):
     return (lambda v: v >= low, f"must be >= {low}")
 
 
-def _where(names=PROBLEM_NAMES, kinds=(TRUNCATED, ARCTAN)) -> Callable[[str, str], bool]:
+def _where(names=PROBLEM_NAMES, kinds=MAP_KINDS) -> Callable[[str, str], bool]:
     return lambda name, kind: name in names and kind in kinds
 
 
 REQUIRED = object()
-CUSTOM_FIELD = "custom"  # the custom problem's keys share one dict field, keyed by key
 
 
 @dataclass(frozen=True)
 class Key:
-    """One config key. default may map problem names to defaults; a problem
-    missing from that map requires the key. applies tests (problem.name,
-    map.kind); where it fails, the key must not be given and its field is None."""
+    """One config key and the RunConfig field it fills. default may map problem
+    names to defaults; a problem missing from that map requires the key. applies
+    tests (problem.name, map.kind); where it fails, the key must not be given and
+    its field is None."""
 
     field: str
     parse: Callable[[str, str], Any]
@@ -149,7 +154,7 @@ class Key:
 
 
 _CUSTOM = _where((CUSTOM,))
-_BUILTIN = _where((CALL, PUT, FRACTIONAL))
+_BUILTIN = _where(BUILTIN_NAMES)
 
 KEYS: Dict[str, Key] = {
     "problem.name": Key("problem_name", _choice(*PROBLEM_NAMES), REQUIRED),
@@ -159,16 +164,16 @@ KEYS: Dict[str, Key] = {
     "problem.strike": Key("strike", _float, {CALL: 10.0, PUT: 10.0}, _POSITIVE,
                           lambda name, kind: name in OPTIONS or (name, kind) == (CUSTOM, ARCTAN)),
     "problem.maturity": Key("maturity", _float, 1.0, _POSITIVE),
-    "problem.gamma1": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
-    "problem.gamma2": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
-    "problem.gamma3": Key(CUSTOM_FIELD, _float, REQUIRED, None, _CUSTOM),
-    "problem.forcing": Key(CUSTOM_FIELD, _text, "0", None, _CUSTOM),
-    "problem.data": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
-    "problem.data_kind": Key(CUSTOM_FIELD, _choice(TERMINAL_PAYOFF, INITIAL_DATA), REQUIRED, None, _CUSTOM),
-    "problem.left_bc": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
-    "problem.right_bc": Key(CUSTOM_FIELD, _text, REQUIRED, None, _CUSTOM),
-    "problem.exact": Key(CUSTOM_FIELD, _text, None, None, _CUSTOM),
-    "map.kind": Key("map_kind", _choice(TRUNCATED, ARCTAN), REQUIRED),
+    "problem.gamma1": Key("gamma1", _text, REQUIRED, None, _CUSTOM),
+    "problem.gamma2": Key("gamma2", _text, REQUIRED, None, _CUSTOM),
+    "problem.gamma3": Key("gamma3", _float, REQUIRED, None, _CUSTOM),
+    "problem.forcing": Key("forcing", _text, "0", None, _CUSTOM),
+    "problem.data": Key("data", _text, REQUIRED, None, _CUSTOM),
+    "problem.data_kind": Key("data_kind", _choice(*DATA_KINDS), REQUIRED, None, _CUSTOM),
+    "problem.left_bc": Key("left_bc", _text, REQUIRED, None, _CUSTOM),
+    "problem.right_bc": Key("right_bc", _text, REQUIRED, None, _CUSTOM),
+    "problem.exact": Key("exact", _text, None, None, _CUSTOM),
+    "map.kind": Key("map_kind", _choice(*MAP_KINDS), REQUIRED),
     "map.s_max": Key("s_max", _float, REQUIRED, _POSITIVE, _where(kinds=(TRUNCATED,))),
     "map.l": Key("quantile", _float, 0.6, _OPEN_UNIT, _where(kinds=(ARCTAN,))),
     "grid.n_steps": Key("n_steps", _int, REQUIRED, _at_least(1)),
@@ -178,7 +183,7 @@ KEYS: Dict[str, Key] = {
     "network.n_hidden": Key("n_hidden", _int, REQUIRED, _at_least(1)),
     "network.seed": Key("seed", _int, 0, _at_least(0)),
     "network.init_scale": Key("init_scale", _float, 0.01, _POSITIVE),
-    "network.output_activation": Key("output_activation", _choice(IDENTITY, SIGMOID), IDENTITY),
+    "network.output_activation": Key("output_activation", _choice(*ACTIVATIONS), IDENTITY),
     "training.optimizer": Key("optimizer", _choice(*OPTIMIZERS), ADAM),
     "training.eta": Key("eta", _float, 0.03, _OPEN_UNIT),
     "training.epochs_first": Key("epochs_first", _int, 5000, _at_least(1)),
@@ -193,38 +198,12 @@ KEYS: Dict[str, Key] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description; builders below turn it into solver objects.
-    A field whose key does not apply to the run is None."""
-
-    problem_name: str
-    rate: Optional[float]
-    sigma: Optional[float]
-    strike: Optional[float]
-    maturity: float
-    custom: Dict[str, Any]            # the custom problem's keys, by key
-    map_kind: str
-    s_max: Optional[float]
-    quantile: Optional[float]
-    n_steps: int
-    alpha: float
-    theta: float
-    n_points: int
-    n_hidden: int
-    seed: int
-    init_scale: float
-    output_activation: str
-    optimizer: str
-    eta: float
-    epochs_first: int
-    epochs_rest: int
-    out_dir: str
-    plots: bool                       # SVG output; only --no-plots turns it off
-    compare_optimizers: Tuple[str, ...]
-    sweep_alphas: Optional[Tuple[float, ...]]
-    lr_candidates: Optional[Tuple[float, ...]]
-    lr_probe_epochs: int
+# one field per KEYS row, in KEYS order, plus plots (SVG output), which only --no-plots
+# sets. Before Python 3.12 make_dataclass sets __module__ to `types`, hiding it from pickle.
+RunConfig = make_dataclass(
+    "RunConfig", [spec.field for spec in KEYS.values()] + ["plots"], frozen=True,
+    namespace={"__module__": __name__, "__doc__": "Validated run description; the builders "
+               "below turn it into solver objects. A field whose key does not apply is None."})
 
 
 def _resolve(raw: Dict[str, str], key: str, name: Optional[str]) -> Any:
@@ -254,18 +233,11 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
             raise ConfigError(key, "unknown key")
     name = _resolve(raw, "problem.name", None)
     kind = _resolve(raw, "map.kind", name)
-    values: Dict[str, Any] = {CUSTOM_FIELD: {}, "plots": True}
+    values: Dict[str, Any] = {"plots": True}
     for key, spec in KEYS.items():
-        if spec.applies(name, kind):
-            value = _resolve(raw, key, name)
-        elif key in raw:
+        if key in raw and not spec.applies(name, kind):
             raise ConfigError(key, f"does not apply to problem.name = {name} on map.kind = {kind}")
-        else:
-            value = None
-        if spec.field != CUSTOM_FIELD:
-            values[spec.field] = value
-        elif value is not None:
-            values[CUSTOM_FIELD][key] = value
+        values[spec.field] = _resolve(raw, key, name) if spec.applies(name, kind) else None
     cfg = RunConfig(**values)
 
     # the rules that tie one key to another
@@ -325,9 +297,9 @@ def load_config(path: str) -> RunConfig:
     return config_from_mapping(parse_kv_text(text))
 
 
-def _expr(cfg: RunConfig, key: str, variables) -> Callable:
+def _expr(key: str, text: str, variables) -> Callable:
     try:
-        fn = compile_expression(cfg.custom[key], variables)
+        fn = compile_expression(text, variables)
     except ExpressionError as exc:
         raise ConfigError(key, str(exc)) from None
     # an expression without S, such as "1", still gives one value per price
@@ -335,13 +307,13 @@ def _expr(cfg: RunConfig, key: str, variables) -> Callable:
 
 
 def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
-    gamma1 = _expr(cfg, "problem.gamma1", ["S"])
-    gamma2 = _expr(cfg, "problem.gamma2", ["S"])
-    forcing = _expr(cfg, "problem.forcing", ["S", "t"])
-    data = _expr(cfg, "problem.data", ["S"])
-    left = _expr(cfg, "problem.left_bc", ["S", "t"])
-    right = _expr(cfg, "problem.right_bc", ["S", "t"])
-    exact = _expr(cfg, "problem.exact", ["S", "t"]) if "problem.exact" in cfg.custom else None
+    gamma1 = _expr("problem.gamma1", cfg.gamma1, ["S"])
+    gamma2 = _expr("problem.gamma2", cfg.gamma2, ["S"])
+    forcing = _expr("problem.forcing", cfg.forcing, ["S", "t"])
+    data = _expr("problem.data", cfg.data, ["S"])
+    left = _expr("problem.left_bc", cfg.left_bc, ["S", "t"])
+    right = _expr("problem.right_bc", cfg.right_bc, ["S", "t"])
+    exact = None if cfg.exact is None else _expr("problem.exact", cfg.exact, ["S", "t"])
 
     # a function that is not finite where training evaluates it would only
     # surface later as a diverged cost, so name its key here instead
@@ -360,10 +332,9 @@ def _build_custom_problem(cfg: RunConfig) -> ProblemSpec:
             if not np.all(np.isfinite(fn(*args))):
                 raise ConfigError(key, "is not finite at every training price point")
 
-    operator = SpatialOperator(gamma1=gamma1, gamma2=gamma2,
-                               gamma3=cfg.custom["problem.gamma3"], forcing=forcing)
+    operator = SpatialOperator(gamma1=gamma1, gamma2=gamma2, gamma3=cfg.gamma3, forcing=forcing)
     return ProblemSpec(name=CUSTOM, alpha=cfg.alpha, maturity=cfg.maturity, operator=operator,
-                       data_kind=cfg.custom["problem.data_kind"], data=data,
+                       data_kind=cfg.data_kind, data=data,
                        left_bc=left, right_bc=right, exact=exact)
 
 

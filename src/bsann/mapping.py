@@ -28,6 +28,7 @@ import numpy as np
 
 TRUNCATED = "truncated"
 ARCTAN = "arctan"
+MAP_KINDS = (TRUNCATED, ARCTAN)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class DomainMap:
     right_eval_point: ClassVar[float] = 0.9999999
 
     def __post_init__(self):
-        if self.kind not in (TRUNCATED, ARCTAN):
+        if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == TRUNCATED and not self.s_max > 0.0:
             raise ValueError(f"truncated map needs s_max > 0, got {self.s_max}")

@@ -25,12 +25,12 @@ from .csvio import read_csv, write_csv
 
 IDENTITY = "identity"
 SIGMOID = "sigmoid"
-_ACTIVATIONS = (IDENTITY, SIGMOID)
+ACTIVATIONS = (IDENTITY, SIGMOID)
 
 
 def _check_activation(name: str) -> None:
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown output activation {name!r}; expected one of {_ACTIVATIONS}")
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown output activation {name!r}; expected one of {ACTIVATIONS}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from .stepper import SpatialOperator
 
 TERMINAL_PAYOFF = "terminal_payoff"
 INITIAL_DATA = "initial_data"
+DATA_KINDS = (TERMINAL_PAYOFF, INITIAL_DATA)
+# the built-in problems, by the name that problem.name selects
+BUILTIN_NAMES = CALL, PUT, FRACTIONAL = ("european_call", "european_put", "fractional_manufactured")
 
 
 def pow_or_inf(base: float, exponent: float) -> float:
@@ -59,7 +62,7 @@ class ProblemSpec:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not self.maturity > 0.0:
             raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.data_kind not in (TERMINAL_PAYOFF, INITIAL_DATA):
+        if self.data_kind not in DATA_KINDS:
             raise ValueError(f"unknown data_kind {self.data_kind!r}")
 
 
@@ -131,7 +134,7 @@ def european_call(r: float, sigma: float, strike: float, maturity: float) -> Pro
     """Vanilla call in tau-marching form; exact price available."""
     _check_option_args(r, sigma, strike, maturity)
     return ProblemSpec(
-        name="european_call",
+        name=CALL,
         alpha=1.0,
         maturity=maturity,
         operator=_bs_operator(r, sigma),
@@ -147,7 +150,7 @@ def european_put(r: float, sigma: float, strike: float, maturity: float) -> Prob
     """Vanilla put in tau-marching form; exact price available."""
     _check_option_args(r, sigma, strike, maturity)
     return ProblemSpec(
-        name="european_put",
+        name=PUT,
         alpha=1.0,
         maturity=maturity,
         operator=_bs_operator(r, sigma),
@@ -200,7 +203,7 @@ def fractional_manufactured(
         return pow_or_inf(t + 1.0, 2) * s * s * (1.0 - s)
 
     return ProblemSpec(
-        name="fractional_manufactured",
+        name=FRACTIONAL,
         alpha=alpha,
         maturity=maturity,
         operator=SpatialOperator(

@@ -43,7 +43,6 @@ from .stepper import StepHistory, TimeGrid, l1_history
 ADAM = "adam"
 SGD = "sgd"
 RMSPROP = "rmsprop"
-OPTIMIZERS = (ADAM, SGD, RMSPROP)
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -423,6 +422,7 @@ def rmsprop_step(state: OptimizerState, params: np.ndarray, grad: np.ndarray, cf
 
 
 _STEP_FNS = {ADAM: adam_step, SGD: sgd_step, RMSPROP: rmsprop_step}
+OPTIMIZERS = tuple(_STEP_FNS)
 
 
 @dataclass(frozen=True)

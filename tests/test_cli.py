@@ -572,3 +572,28 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_exits_1_without_blaming_output_dir(tmp_path, unbuffered):
+    package_root = os.path.dirname(os.path.dirname(bsann.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    # buffered, the pipe fails only at the last flush; unbuffered, at the first print
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, constant_cfg(out))
+    for args in (["selftest"], ["solve", "--config", path, "--no-plots"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nothing will ever read what the command reports
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bsann.cli", *args], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        for text in ("output.dir", "Traceback", "Exception ignored"):
+            assert text not in proc.stderr
+    assert (out / "surface.csv").is_file()

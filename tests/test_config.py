@@ -1,15 +1,18 @@
+import dataclasses
 import glob
 import os
+import pickle
 import re
 
 import numpy as np
 import pytest
 
+from bsann import trainer
 from bsann.config import (
-    CUSTOM_FIELD,
     KEYS,
     MAX_BUFFER_BYTES,
     ConfigError,
+    RunConfig,
     build_grid,
     build_map,
     build_problem,
@@ -18,6 +21,16 @@ from bsann.config import (
     load_config,
     parse_kv_text,
 )
+from bsann.mapping import MAP_KINDS
+from bsann.network import ACTIVATIONS
+from bsann.problems import (
+    BUILTIN_NAMES,
+    DATA_KINDS,
+    european_call,
+    european_put,
+    fractional_manufactured,
+)
+from bsann.trainer import OPTIMIZERS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 CONFIG_DIR = os.path.join(ROOT, "configs")
@@ -370,8 +383,86 @@ def test_readme_configuration_table_lists_every_key():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         section = fh.read().split("## Configuration", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
-    custom = {key for key, spec in KEYS.items() if spec.field == CUSTOM_FIELD}
+    custom = {key for key, spec in KEYS.items()
+              if spec.applies("custom", "truncated") and not spec.applies("european_call", "truncated")}
     assert len(rows) == len(set(rows))
     assert set(rows) == set(KEYS) - custom
     # the custom keys are documented by the custom example block instead
     assert custom <= set(re.findall(r"^(problem\.\w+) =", section, re.M))
+
+
+def test_run_config_is_made_from_the_key_table():
+    assert RunConfig.__module__ == "bsann.config"
+    assert RunConfig.__qualname__ == "RunConfig"
+    # each key fills its own field, in table order; plots is the one field without a key
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert fields == [spec.field for spec in KEYS.values()] + ["plots"]
+    assert len(KEYS) == 34 and len(fields) == 35
+    cfg = load_config(os.path.join(CONFIG_DIR, "example2_fractional.cfg"))
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 1
+    assert dataclasses.replace(cfg, seed=1).seed == 1
+
+
+CUSTOM_TEXT = {
+    "problem.gamma1": "0.02 * S**2",
+    "problem.gamma2": "0.05 * S",
+    "problem.gamma3": "-0.05",
+    "problem.data": "max(S - 10, 0)",
+    "problem.data_kind": "terminal_payoff",
+    "problem.left_bc": "0",
+    "problem.right_bc": "S - 10*exp(-0.05*t)",
+}
+
+
+def test_custom_keys_fill_plain_fields():
+    cfg = config_from_mapping(with_(**{"problem.name": "custom", **CUSTOM_TEXT}))
+    assert (cfg.gamma1, cfg.gamma2, cfg.gamma3) == ("0.02 * S**2", "0.05 * S", -0.05)
+    assert (cfg.data, cfg.data_kind) == ("max(S - 10, 0)", "terminal_payoff")
+    assert (cfg.left_bc, cfg.right_bc) == ("0", "S - 10*exp(-0.05*t)")
+    assert cfg.forcing == "0" and cfg.exact is None
+    assert build_problem(cfg).exact is None
+    cfg = config_from_mapping(with_(**{"problem.name": "custom", "problem.exact": "S*0",
+                                       **CUSTOM_TEXT}))
+    assert cfg.exact == "S*0" and build_problem(cfg).exact is not None
+    call = config_from_mapping(MINIMAL)
+    custom_fields = [KEYS[key].field for key in CUSTOM_TEXT] + ["forcing", "exact"]
+    assert all(getattr(call, name) is None for name in custom_fields)
+
+
+@pytest.mark.parametrize(
+    "key, owned",
+    [
+        ("map.kind", MAP_KINDS),
+        ("problem.data_kind", DATA_KINDS),
+        ("network.output_activation", ACTIVATIONS),
+        ("training.optimizer", OPTIMIZERS),
+        ("problem.name", BUILTIN_NAMES + ("custom",)),
+    ],
+)
+def test_choice_keys_accept_their_owners_tuple(key, owned):
+    parse = KEYS[key].parse
+    assert [parse(key, value) for value in owned] == list(owned)
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: must be one of {owned}, got 'lm'")):
+        parse(key, "lm")
+
+
+def test_compare_optimizers_accept_the_trainer_optimizers():
+    assert OPTIMIZERS == tuple(trainer._STEP_FNS)
+    assert config_from_mapping(MINIMAL).compare_optimizers == OPTIMIZERS
+    cfg = config_from_mapping(with_(**{"compare.optimizers": ",".join(reversed(OPTIMIZERS))}))
+    assert cfg.compare_optimizers == OPTIMIZERS[::-1]
+    with pytest.raises(ConfigError, match=re.escape(f"each must be one of {OPTIMIZERS}")):
+        config_from_mapping(with_(**{"compare.optimizers": "adam,lm"}))
+
+
+def test_builtin_problems_carry_the_names_that_select_them():
+    problems = (european_call(0.05, 0.2, 10.0, 1.0), european_put(0.05, 0.2, 10.0, 1.0),
+                fractional_manufactured(0.5))
+    assert tuple(problem.name for problem in problems) == BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        raw = with_(**{"problem.name": name})
+        if name == BUILTIN_NAMES[2]:
+            raw.update({"grid.alpha": "0.5", "map.s_max": "1"})
+        assert build_problem(config_from_mapping(raw)).name == name
