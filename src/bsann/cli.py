@@ -393,8 +393,13 @@ def cmd_selftest(_args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # argparse drops a failed write
+        (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bsann",
         description="Collocation-network solver for ordinary and time-fractional "
         "Black-Scholes problems.",
@@ -419,10 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help and usage errors leave here, after argparse printed
+            sys.stdout.flush()
         code = args.fn(args)
-        sys.stdout.flush()  # a pipe closed before this last flush fails here, not at exit
+        sys.stdout.flush()  # a pipe closed before a last flush fails here, not at exit
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

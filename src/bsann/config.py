@@ -62,7 +62,7 @@ class ConfigError(ValueError):
 
 
 def parse_kv_text(text: str) -> Dict[str, str]:
-    """Parse `key = value` lines; duplicates and malformed lines are errors."""
+    """Parse `key = value` lines; duplicates, malformed lines and a `#` in a value are errors."""
     out: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -75,6 +75,8 @@ def parse_kv_text(text: str) -> Dict[str, str]:
         value = value.strip()
         if not key:
             raise ConfigError(f"line {lineno}", "empty key")
+        if "#" in value:  # an inline comment would silently become part of the value
+            raise ConfigError(key, f"'#' in the value {value!r}; comments go on lines of their own")
         if key in out:
             raise ConfigError(key, "duplicate key")
         out[key] = value

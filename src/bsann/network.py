@@ -5,10 +5,12 @@ scalar input. Both derivatives with respect to the input and gradients of
 (value, d1, d2) with respect to every parameter are exact closed forms; the
 trainer never uses finite differences of the candidate network.
 
-A pass writes into caller-owned PassBuffers, so a training loop that keeps
-one set per step allocates no (r, n) array per epoch with the identity head;
-eval_batch and param_grad make fresh ones. Parameter gradients come one group
-at a time (_group_grads), each a contiguous (r, n) array.
+A pass (_values, then _grads for the parameter gradients) writes into
+caller-owned PassBuffers, so a training loop that keeps one set per step
+allocates no (r, n) array per epoch with the identity head. Planes that one
+operation treats alike are stacked so that one numpy call covers them all;
+every product still keeps its operands and its left-to-right order, so a
+layout change changes no output bit.
 
 Flat parameter layout (fixed order, length 3n+1), which is also how
 NetworkParams stores them:
@@ -65,11 +67,6 @@ class NetworkParams:
         return cls(flat)
 
 
-def _split_flat(flat: np.ndarray, n: int):
-    """Views of the three weight groups and the output bias of a flat vector."""
-    return flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
-
-
 @dataclass(frozen=True)
 class NetEval:
     """Network output and its first two derivatives with respect to the input."""
@@ -90,147 +87,109 @@ def init_params(n_hidden: int, seed: int, scale: float = 0.01) -> NetworkParams:
     return NetworkParams.from_flat(flat, n_hidden)
 
 
-def _sigmoid_into(z, out, ez, pos):
-    """Write sigmoid(z) into out; ez and pos are float scratch of z's shape."""
-    # exp is only ever taken of a non-positive argument, so no overflow.
-    # maximum(ez, z >= 0) is where(z >= 0, 1, ez) exactly, since 0 <= ez <= 1
-    np.greater_equal(z, 0.0, out=pos)
+def _sigmoid_into(z, out, ez):
+    """Write sigmoid(z) into out; ez is float scratch of z's shape."""
+    # exp is only ever taken of a non-positive argument, so no overflow. maximum(ez,
+    # sign(z)) is where(z >= 0, 1, ez) exactly: 0 <= ez <= 1, and ez = 1 at z = 0
+    np.sign(z, out=out)
     np.abs(z, out=ez)
     np.negative(ez, out=ez)
     np.exp(ez, out=ez)
-    np.maximum(ez, pos, out=out)
+    np.maximum(ez, out, out=out)
     ez += 1.0
     out /= ez
     return out
 
 
 def _sigmoid_arr(z: np.ndarray) -> np.ndarray:
-    return _sigmoid_into(z, *np.empty((3,) + z.shape))
+    return _sigmoid_into(z, *np.empty((2,) + z.shape))
 
 
-# the (r, n) planes of a pass
-_PLANES = ("x", "w", "ww", "z", "ez", "pos", "s", "s1", "s2", "s1w", "s2ww",
-           "v", "vs1", "s3", "g0", "g1", "g2")
+# (r, n) planes of PassBuffers' one block, in order: x twice, (w, w*w),
+# v three times, three scratch planes, (s1, s2, s3), and the gradient block
+# of 3 groups by 3 kinds
+_PLANES = 2 + 2 + 3 + 3 + 3 + 9
 
 
 class PassBuffers:
     """Caller-owned arrays that network passes at one fixed input vector overwrite.
 
-    Every (r, n) operand is a full same-shape array: the inputs repeated along
-    each row once, and w, v and w*w copied along each column once per pass.
-    numpy runs a same-shape product as one flat loop, several times faster at
-    these sizes than the same product broadcast from an (n,) vector. The
-    buffers also hold the parameter-gradient products that _group_grads emits
-    one group at a time; a pass that only needs the values fills them too.
+    A pass reads `params` (the flat layout), which the caller writes. Every
+    (r, n) operand is a full plane, and planes treated alike lie side by side:
+    (w, w*w), (v, v, v), (s1, s2, s3) and g[group, kind], the gradients of
+    (value, d1, d2) for the hidden weights, hidden biases and output weights;
+    g[2, 0] is s itself. numpy runs a same-shape contiguous operation as one
+    flat loop, far faster at these sizes than a broadcast or strided one. out
+    holds (value, d1, d2): (P, P_x, P_xx) of P = s @ v + beta, from one
+    batched matmul of g[2], or the sigmoid head's. Views are bound once, here.
     """
 
     def __init__(self, x: np.ndarray, n: int):
         x = np.asarray(x, dtype=float).ravel()
         r = x.size
-        for name, plane in zip(_PLANES, np.empty((len(_PLANES), r, n))):
-            setattr(self, name, plane)
-        self.x[:] = x[:, None]
-        self.p, self.px, self.pxx = np.empty((3, r))
-        # g_p, g_px and g_pxx of the output bias
+        self.params = np.empty(3 * n + 1)
+        self.pw, self.pb, self.pv = self.params[: 3 * n].reshape(3, n)
+        planes = np.empty((_PLANES, r, n))
+        self.xx, self.wq, self.vvv, self.tmp, self.sd, g = np.split(planes, [2, 4, 7, 10, 13])
+        self.xx[:] = x[:, None]
+        self.x, self.w, self.ww, self.vv = self.xx[0], self.wq[0], self.wq[1], self.vvv[:2]
+        self.tmp0, self.tmp1, self.tmp2 = self.tmp
+        self.s1, self.s2, self.s3 = self.sd
+        self.s12, self.s23 = self.sd[:2], self.sd[1:]
+        self.g = g.reshape(3, 3, r, n)
+        g_w, self.g_b, self.g_v = self.g
+        self.g_w0, self.g_w1, self.g_w2 = g_w
+        self.g_b0, self.s, self.g_v1, self.g_v2 = self.g_b[0], *self.g_v
+        self.g_w12, self.g_b12, self.g_v12 = g_w[1:], self.g_b[1:], self.g_v[1:]
+        self.out = np.empty((3, r))
+        self.p = self.out[0]
+        # g_value, g_d1 and g_d2 of the output bias
         self.one, self.zero = np.ones((r, 1)), np.zeros((r, 1))
 
     @staticmethod
     def nbytes(r: int, n: int) -> int:
         """Bytes that PassBuffers(x, n) allocates for r inputs."""
-        return 8 * len(_PLANES) * r * n + 40 * r
+        return 8 * (_PLANES * r * n + 5 * r + 3 * n + 1)
 
 
-def _hidden_pass(w, b, v, beta, h: PassBuffers):
-    """Fill h for one parameter set: the hidden sigmoids s with their input
-    derivatives s1, s2 and s3, the products s1*w, s2*w*w, v*s1, and the
-    pre-activation head P with its first two input derivatives in h.p, h.px
-    and h.pxx."""
-    np.copyto(h.w, w)
+def _values(h: PassBuffers, output_activation=IDENTITY) -> np.ndarray:
+    """Fill and return h.out, (value, d1, d2) at h's inputs for h.params; on the
+    way, w, w*w, s with s1, s2 and s3, and the output-weight gradients. With
+    the sigmoid head q = sigmoid(P), h.head keeps the chain rule's columns."""
+    np.copyto(h.w, h.pw)
     np.multiply(h.w, h.w, out=h.ww)
-    z = np.multiply(h.x, h.w, out=h.z)
-    z += b
-    _sigmoid_into(z, h.s, h.ez, h.pos)
-    t, u = h.z, h.ez  # free from here on
-    # s1 = s*(1 - s), s2 = s1*(1 - 2s)
-    np.subtract(1.0, h.s, out=t)
-    np.multiply(h.s, t, out=h.s1)
-    np.multiply(h.s, 2.0, out=t)
-    np.subtract(1.0, t, out=t)
-    np.multiply(h.s1, t, out=h.s2)
-    np.multiply(h.s1, h.w, out=h.s1w)
-    np.multiply(h.s2, h.ww, out=h.s2ww)
-    np.matmul(h.s, v, out=h.p)
-    h.p += beta
-    np.matmul(h.s1w, v, out=h.px)
-    np.matmul(h.s2ww, v, out=h.pxx)
-    np.copyto(h.v, v)
-    np.multiply(h.v, h.s1, out=h.vs1)
-    # s3 = s1*((1 - 6s) + 6s*s)
-    np.multiply(h.s, 6.0, out=t)
-    np.subtract(1.0, t, out=u)
-    t *= h.s
-    u += t
-    np.multiply(h.s1, u, out=h.s3)
+    z = np.multiply(h.x, h.w, out=h.tmp0)
+    z += h.pb
+    s = _sigmoid_into(z, h.s, h.tmp1)
+    # the factors 1 - s, 1 - 2s and 1 - 6s in one call, with 2s and 6s held
+    # in the output-weight planes that s1*w and s2*ww overwrite below;
+    # s1 = s*(1 - s), s2 = s1*(1 - 2s), s3 = s1*((1 - 6s) + 6s*s)
+    np.multiply(s, 2.0, out=h.g_v1)
+    np.multiply(s, 6.0, out=h.g_v2)
+    np.subtract(1.0, h.g_v, out=h.tmp)
+    np.multiply(s, h.tmp0, out=h.s1)
+    np.multiply(h.s1, h.tmp1, out=h.s2)
+    np.multiply(h.g_v2, s, out=h.g_v2)
+    np.add(h.tmp2, h.g_v2, out=h.tmp2)
+    np.multiply(h.s1, h.tmp2, out=h.s3)
+    np.multiply(h.s12, h.wq, out=h.g_v12)
+    np.matmul(h.g_v, h.pv, out=h.out)
+    np.add(h.p, h.params[-1], out=h.p)
+    if output_activation != IDENTITY:
+        p, px, pxx = h.out.copy()
+        q = _sigmoid_arr(p)
+        q1 = q * (1.0 - q)
+        q2 = q1 * (1.0 - 2.0 * q)
+        q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
+        h.head = tuple(col[:, None] for col in (q1, q2, q3, px, pxx))
+        h.out[:] = q, q1 * px, q2 * px * px + q1 * pxx
+    return h.out
 
 
-def _forward(w, b, v, beta, h: PassBuffers, output_activation=IDENTITY):
-    """value, d1 and d2 at h's inputs. With the sigmoid head q = sigmoid(P), the
-    columns that its parameter-gradient chain rule needs are kept in h.head."""
-    _hidden_pass(w, b, v, beta, h)
-    p, px, pxx = h.p, h.px, h.pxx
-    if output_activation == IDENTITY:
-        return p, px, pxx
-    q = _sigmoid_arr(p)
-    q1 = q * (1.0 - q)
-    q2 = q1 * (1.0 - 2.0 * q)
-    q3 = q1 * (1.0 - 6.0 * q + 6.0 * q * q)
-    h.head = tuple(col[:, None] for col in (q1, q2, q3, px, pxx))
-    return q, q1 * px, q2 * px * px + q1 * pxx
-
-
-def _group_grads(h: PassBuffers, group: int, output_activation=IDENTITY):
-    """Parameter gradients (g_value, g_d1, g_d2) of one group at h's inputs,
-    after _forward: group 0 the hidden weights, 1 the hidden biases,
-    2 the output weights, each (r, n), and 3 the output bias, (r, 1).
-
-    With the identity head the arrays are views into h, overwritten by the
-    next group; the sigmoid head's chain rule returns new ones. The in-place
-    sequences evaluate exactly these products of P, P_x and P_xx, left to
-    right: regrouping one changes its last bits, and training amplifies those
-    into visibly different solutions.
-      g_p   = [v*s1*x,                  v*s1,     s,      1]
-      g_px  = [v*((s2*w)*x + s1),       v*s2*w,   s1*w,   0]
-      g_pxx = [v*((s3*ww)*x + 2w*s2),   v*s3*ww,  s2*ww,  0]
-    """
-    t, u = h.z, h.ez
-    if group == 0:
-        np.multiply(h.vs1, h.x, out=h.g0)
-        np.multiply(h.s2, h.w, out=t)
-        t *= h.x
-        t += h.s1
-        np.multiply(h.v, t, out=h.g1)
-        np.multiply(h.s3, h.ww, out=t)
-        t *= h.x
-        np.multiply(h.w, 2.0, out=u)
-        u *= h.s2
-        t += u
-        np.multiply(h.v, t, out=h.g2)
-        g = (h.g0, h.g1, h.g2)
-    elif group == 1:
-        np.multiply(h.v, h.s2, out=h.g1)
-        h.g1 *= h.w
-        np.multiply(h.v, h.s3, out=h.g2)
-        h.g2 *= h.ww
-        g = (h.vs1, h.g1, h.g2)
-    elif group == 2:
-        g = (h.s, h.s1w, h.s2ww)
-    else:
-        g = (h.one, h.zero, h.zero)
-    if output_activation == IDENTITY:
-        return g
-    # chain rule of the sigmoid head, in new arrays
-    g_p, g_px, g_pxx = g
-    q1, q2, q3, px, pxx = h.head
+def _head_chain(head, g_p, g_px, g_pxx):
+    """Chain rule of the sigmoid head: (g_value, g_d1, g_d2) from the
+    gradients of P, P_x and P_xx."""
+    q1, q2, q3, px, pxx = head
     return (
         q1 * g_p,
         q2 * g_p * px + q1 * g_px,
@@ -238,11 +197,40 @@ def _group_grads(h: PassBuffers, group: int, output_activation=IDENTITY):
     )
 
 
+def _grads(h: PassBuffers, output_activation=IDENTITY):
+    """Fill h.g after _values; return the output bias's (g_value, g_d1, g_d2)
+    as (r, 1) columns. Each product keeps the operands and left-to-right order
+    of the expression that it evaluates: regrouping one changes its last bits,
+    and training amplifies those into visibly different solutions.
+      g_p   = [v*s1*x,                  v*s1,     s,      1]
+      g_px  = [v*((s2*w)*x + s1),       v*s2*w,   s1*w,   0]
+      g_pxx = [v*((s3*ww)*x + 2w*s2),   v*s3*ww,  s2*ww,  0]
+    """
+    t = h.tmp0
+    np.copyto(h.vvv, h.pv)
+    np.multiply(h.vvv, h.sd, out=h.g_b)
+    np.multiply(h.g_b12, h.wq, out=h.g_b12)
+    np.multiply(h.g_b0, h.x, out=h.g_w0)
+    np.multiply(h.s23, h.wq, out=h.g_w12)
+    np.multiply(h.g_w12, h.xx, out=h.g_w12)
+    np.add(h.g_w1, h.s1, out=h.g_w1)
+    np.multiply(h.w, 2.0, out=t)
+    t *= h.s2
+    np.add(h.g_w2, t, out=h.g_w2)
+    np.multiply(h.vv, h.g_w12, out=h.g_w12)
+    if output_activation == IDENTITY:
+        return h.one, h.zero, h.zero
+    kinds = h.g.swapaxes(0, 1)
+    kinds[...] = _head_chain(h.head, *kinds)
+    return _head_chain(h.head, h.one, h.zero, h.zero)
+
+
 def eval_batch(params: NetworkParams, x: np.ndarray, output_activation: str = IDENTITY):
     """Vectorized (value, d1, d2) arrays over a vector of inputs."""
     _check_activation(output_activation)
     h = PassBuffers(x, params.n_hidden)
-    return _forward(*_split_flat(params.flat, params.n_hidden), h, output_activation)
+    h.params[:] = params.flat
+    return tuple(_values(h, output_activation))
 
 
 def forward(params: NetworkParams, x: float, output_activation: str = IDENTITY) -> NetEval:
@@ -262,10 +250,12 @@ def param_grad(
     if target not in ("value", "d1", "d2"):
         raise ValueError(f"target must be 'value', 'd1' or 'd2', got {target!r}")
     h = PassBuffers(np.array([float(x)]), params.n_hidden)
-    _forward(*_split_flat(params.flat, params.n_hidden), h, output_activation)
+    h.params[:] = params.flat
+    _values(h, output_activation)
+    bias = _grads(h, output_activation)
     pick = {"value": 0, "d1": 1, "d2": 2}[target]
-    g = [_group_grads(h, group, output_activation)[pick][0].copy() for group in range(4)]
-    return NetworkParams.from_flat(np.concatenate(g), params.n_hidden)
+    flat = np.concatenate((h.g[:, pick, 0].ravel(), bias[pick][0]))
+    return NetworkParams.from_flat(flat, params.n_hidden)
 
 
 def save_params_csv(params: NetworkParams, path) -> None:

@@ -12,9 +12,12 @@ the network's input derivatives and parameter gradients are closed forms, so
 no finite differences of the candidate network appear anywhere.
 
 Training is deterministic full-batch gradient descent in one of three
-flavours (adam, sgd, rmsprop) on the flat parameter vector. A step whose
-cost leaves [0, 1e12] or stops being finite raises TrainingDiverged with the
-step and epoch indices and the breakdown recorded so far.
+flavours (adam, sgd, rmsprop) on the flat parameter vector; an epoch is one
+network pass and a few stacked calls on a _Workspace bound once per step.
+Every product keeps the operands and order of tests/reference.py, which the
+kernel matches bit for bit. A step whose cost leaves [0, 1e12] or stops
+being finite raises TrainingDiverged with the step and epoch indices and
+the breakdown recorded so far.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from .network import (
     NetworkParams,
     PassBuffers,
     _check_activation,
-    _forward,
-    _group_grads,
-    _split_flat,
+    _grads,
+    _values,
     init_params,
 )
 from .problems import CollocationSet, ProblemSpec, pow_or_inf
@@ -197,100 +199,89 @@ def build_step_context(
     )
 
 
-@dataclass(frozen=True)
 class _Workspace:
-    """Buffers that every epoch of one step overwrites in place.
+    """Buffers that every epoch of one step overwrites in place, with the views
+    that an epoch reads bound once. The pass reads hidden.params, which the
+    training loop updates in place.
 
-    The Jacobian of the residual rows is built one parameter group at a time
-    (hidden weights, hidden biases, output weights, output bias): the group's
-    (value, d1, d2) gradients from the network pass are scaled by full-shape
-    copies of a_value, a_d1 and a_d2 into two scratch arrays, and the last add
-    writes the group's columns of jac. The group's value gradients at the two
-    boundary points go into its slices of rows. With the identity head the
-    output-bias column of jac and of rows is constant; it is written once per
-    step, when the workspace is built, and no epoch writes it again.
-
-    A pass that only needs the cost (step_cost, the last epoch of a step)
-    runs on the same workspace and leaves jac, rows and grad as they were.
+    Products run over all r points, so every operand is one contiguous block;
+    an arctan surrogate point (past n_pde) gets zero coefficients, and its
+    rows of the products and of jac_all are never read. One call makes the
+    residual's three products, one the Jacobian's nine (each gradient plane
+    times its kind's coefficients, into a kind-major block via prods_g), and
+    two adds give (a_value*g_value + a_d1*g_d1) + a_d2*g_d2 in jac_w, a
+    group-major view of jac[:, :3n]. One call scales both boundary rows of value
+    gradients, read from the gradient planes. The identity head's constant
+    output-bias column of jac is written once, here. A cost-only pass
+    (step_cost, a step's last epoch) leaves jac and grad alone.
     """
 
-    hidden: PassBuffers           # network pass at ctx.points
-    targets: tuple                # per group: jac columns, 3 coefficients, 2 scratch, 2 rows slices
-    jac: np.ndarray               # (n_pde, 3n+1) residual Jacobian
-    resid: np.ndarray             # (n_pde,) residual
-    rtmp: np.ndarray              # (n_pde,) one residual term before it is added
-    rows: np.ndarray              # (2, 3n+1) value gradients at the left and right boundary
-    scaled: np.ndarray            # (3n+1,) one boundary row times its factor
-    grad: np.ndarray              # (3n+1,) flat cost gradient
-    epoch_groups: int             # groups rewritten each epoch: 3, or 4 with a sigmoid head
+    def __init__(self, ctx: StepContext, n: int):
+        m, r, size = ctx.n_pde, ctx.points.size, 3 * n + 1
+        self.ctx = ctx
+        self.identity = ctx.output_activation == IDENTITY
+        self.hidden = h = PassBuffers(ctx.points, n)
+        self.params = h.params
+        self.coef = np.zeros((3, r))
+        self.coef[:, :m] = ctx.a_value, ctx.a_d1, ctx.a_d2
+        self.terms = np.empty((3, r))
+        self.term_rows = tuple(self.terms[:, :m])
+        self.resid = np.empty(m)
+        self.coef_planes = np.repeat(self.coef[:, :, None], n, axis=2)
+        self.prod_val, self.prod_d1, self.prod_d2 = prods = np.empty((3, 3, r, n))
+        self.prods_g = prods.swapaxes(0, 1)
+        self.jac_all = np.empty((r, size))
+        self.jac = self.jac_all[:m]
+        self.jac_w = self.jac_all[:, : 3 * n].reshape(r, 3, n).swapaxes(0, 1)
+        # value gradients at the left and right boundary points, (3 groups, 2, n)
+        self.edges = h.g[:, 0, 0 : m : m - 1]
+        self.miss = np.empty(2)           # twice the boundary misses
+        self.miss_col = self.miss[:, None]
+        self.bias_edges = np.ones(2)      # output-bias value gradients there
+        self.scaled = np.empty((2, size))
+        self.scaled_w = self.scaled[:, : 3 * n].reshape(2, 3, n).swapaxes(0, 1)
+        self.scaled_bias = self.scaled[:, -1]
+        self.scaled_left, self.scaled_right = self.scaled
+        self.grad = np.empty(size)
+        if self.identity:
+            self._bias_column(h.one, h.zero, h.zero)
+
+    def _bias_column(self, g_val, g_d1, g_d2):
+        """Write the output-bias column of jac, and its value gradients at the
+        two boundary points, from its (r, 1) gradient columns."""
+        ctx, m = self.ctx, self.ctx.n_pde
+        self.jac[:, -1] = (ctx.a_value * g_val[:m, 0] + ctx.a_d1 * g_d1[:m, 0]
+                           + ctx.a_d2 * g_d2[:m, 0])
+        self.bias_edges[:] = g_val[0, 0], g_val[m - 1, 0]
 
 
 def workspace_nbytes(r: int, n: int) -> int:
     """Bytes of one step's training workspace and optimizer state for r points
     and n hidden units; an upper bound, exact when every point is a residual row."""
     size = 3 * n + 1
-    own = 5 * r * n + r * size + 2 * r + 8 * size  # the last term counts m, v and scratch
+    # coefficient and product planes; jac; coef, terms, resid; miss, bias edges;
+    # scaled, grad and the optimizer's m, v and scratch
+    own = 12 * r * n + r * size + 7 * r + 4 + 7 * size
     return PassBuffers.nbytes(r, n) + 8 * own
 
 
-def _workspace(ctx: StepContext, n: int) -> _Workspace:
-    """Workspace for ctx's step and n hidden units."""
-    m, size = ctx.n_pde, 3 * n + 1
-    coef = np.repeat(np.stack([ctx.a_value, ctx.a_d1, ctx.a_d2])[:, :, None], n, axis=2)
-    scratch = np.empty((2, m, n))
-    jac, rows = np.empty((m, size)), np.empty((2, size))
-    targets = []
-    for group in range(4):
-        k = 1 if group == 3 else n
-        cols = slice(group * n, group * n + k)
-        targets.append(
-            (jac[:, cols], *coef[:, :, :k], *scratch[:, :, :k], rows[0, cols], rows[1, cols])
-        )
-    ws = _Workspace(
-        PassBuffers(ctx.points, n), tuple(targets),
-        jac, np.empty(m), np.empty(m), rows, np.empty(size), np.empty(size),
-        3 if ctx.output_activation == IDENTITY else 4,
-    )
-    if ws.epoch_groups == 3:
-        _group_columns(ctx, ws, 3)
-    return ws
-
-
-def _group_columns(ctx: StepContext, ws: _Workspace, group: int) -> None:
-    """Write one parameter group's columns of jac and of the boundary rows.
-
-    jac = (a_value*g_value + a_d1*g_d1) + a_d2*g_d2 over the residual rows."""
-    g_val, g_d1, g_d2 = _group_grads(ws.hidden, group, ctx.output_activation)
-    jac, c_val, c_d1, c_d2, t1, t2, left, right = ws.targets[group]
-    m = ctx.n_pde
-    np.multiply(c_val, g_val[:m], out=t1)
-    np.multiply(c_d1, g_d1[:m], out=t2)
-    t1 += t2
-    np.multiply(c_d2, g_d2[:m], out=t2)
-    np.add(t1, t2, out=jac)
-    np.copyto(left, g_val[0])
-    np.copyto(right, g_val[m - 1])
-
-
-def _context_cost_grad(
-    ctx: StepContext, flat: np.ndarray, n: int, ws: _Workspace, row: np.ndarray, grad: bool = True
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write the cost terms (pde, left_bc, right_bc, total) into row and return
-    the pass it evaluated, (value, d1, d2) at ctx.points; with grad, also write
-    the flat cost gradient into ws.grad. The next call may overwrite all three."""
-    w, b, v, beta = _split_flat(flat, n)
-    val, d1, d2 = _forward(w, b, v, beta, ws.hidden, ctx.output_activation)
-    m = ctx.n_pde
+def _context_cost_grad(ws: _Workspace, row: np.ndarray, grad: bool = True) -> np.ndarray:
+    """Write the cost terms (pde, left_bc, right_bc, total) of ws.params into
+    row and return the pass, (value, d1, d2) at ctx.points as (3, r) rows;
+    with grad, also write the flat cost gradient into ws.grad. The next call
+    may overwrite both."""
+    ctx, h = ws.ctx, ws.hidden
+    out = _values(h, ctx.output_activation)
     # resid = ((a_value*val + a_d1*d1) + a_d2*d2) + offset
-    resid, term = ws.resid, ws.rtmp
-    np.multiply(ctx.a_value, val[:m], out=resid)
-    np.multiply(ctx.a_d1, d1[:m], out=term)
-    resid += term
-    np.multiply(ctx.a_d2, d2[:m], out=term)
-    resid += term
+    resid = ws.resid
+    np.multiply(ws.coef, out, out=ws.terms)
+    t_val, t_d1, t_d2 = ws.term_rows
+    np.add(t_val, t_d1, out=resid)
+    resid += t_d2
     resid += ctx.offset
+    val = h.p
     left_miss = float(val[0] - ctx.left_target)
-    right_miss = float(val[m - 1] - ctx.right_target)
+    right_miss = float(val[ctx.n_pde - 1] - ctx.right_target)
     pde = float(resid @ resid) / (2.0 * ctx.points.size)
     left_sq, right_sq = pow_or_inf(left_miss, 2), pow_or_inf(right_miss, 2)
     row[0] = pde
@@ -298,18 +289,25 @@ def _context_cost_grad(
     row[2] = right_sq
     row[3] = pde + left_sq + right_sq
     if not grad:
-        return val, d1, d2
-    for group in range(ws.epoch_groups):
-        _group_columns(ctx, ws, group)
+        return out
+    bias = _grads(h, ctx.output_activation)
+    if not ws.identity:
+        ws._bias_column(*bias)
+    # jac_w = (a_value*g_value + a_d1*g_d1) + a_d2*g_d2, all three groups at once
+    np.multiply(ws.coef_planes, h.g, out=ws.prods_g)
+    np.add(ws.prod_val, ws.prod_d1, out=ws.prod_val)
+    np.add(ws.prod_val, ws.prod_d2, out=ws.jac_w)
     # (resid @ jac) / r + 2*left_miss*g_value[left] + 2*right_miss*g_value[right]
-    out, scaled = ws.grad, ws.scaled
-    np.matmul(resid, ws.jac, out=out)
-    out /= ctx.points.size
-    np.multiply(ws.rows[0], 2.0 * left_miss, out=scaled)
-    out += scaled
-    np.multiply(ws.rows[1], 2.0 * right_miss, out=scaled)
-    out += scaled
-    return val, d1, d2
+    g, miss = ws.grad, ws.miss
+    np.matmul(resid, ws.jac, out=g)
+    g /= ctx.points.size
+    miss[0] = 2.0 * left_miss
+    miss[1] = 2.0 * right_miss
+    np.multiply(ws.edges, ws.miss_col, out=ws.scaled_w)
+    np.multiply(ws.bias_edges, miss, out=ws.scaled_bias)
+    g += ws.scaled_left
+    g += ws.scaled_right
+    return out
 
 
 def step_cost(
@@ -328,9 +326,10 @@ def step_cost(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    n = params.n_hidden
+    ws = _Workspace(ctx, params.n_hidden)
+    ws.params[:] = params.flat
     row = np.empty(4)
-    _context_cost_grad(ctx, params.to_flat(), n, _workspace(ctx, n), row, grad=False)
+    _context_cost_grad(ws, row, grad=False)
     return CostBreakdown(*row.tolist())
 
 
@@ -350,10 +349,10 @@ def cost_gradient(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    n = params.n_hidden
-    ws = _workspace(ctx, n)
-    _context_cost_grad(ctx, params.to_flat(), n, ws, np.empty(4))
-    return NetworkParams.from_flat(ws.grad, n)
+    ws = _Workspace(ctx, params.n_hidden)
+    ws.params[:] = params.flat
+    _context_cost_grad(ws, np.empty(4))
+    return NetworkParams.from_flat(ws.grad, params.n_hidden)
 
 
 # The update steps work in place: they overwrite state and params and return
@@ -458,23 +457,23 @@ def train_step_network(
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
     )
-    n = initial.n_hidden
     epochs = cfg.epochs_first if step_index == 0 else cfg.epochs_rest
     step_fn = _STEP_FNS[cfg.optimizer]
-    flat = initial.to_flat()
+    ws = _Workspace(ctx, initial.n_hidden)
+    flat, grad = ws.params, ws.grad
+    flat[:] = initial.flat
     state = OptimizerState.zeros(flat.size)
-    ws = _workspace(ctx, n)
     breakdown = np.empty((epochs + 1, 4))
     for e in range(epochs + 1):
         # the last pass only records the cost, so it skips the Jacobian
-        last = _context_cost_grad(ctx, flat, n, ws, breakdown[e], e < epochs)
+        last = _context_cost_grad(ws, breakdown[e], e < epochs)
         total = float(breakdown[e, 3])
         if not math.isfinite(total) or total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(e, total, step_index, breakdown[: e + 1].copy())
         if e < epochs:
-            step_fn(state, flat, ws.grad, cfg)
-    return StepTrainResult(NetworkParams.from_flat(flat, n), breakdown,
-                           tuple(a.copy() for a in last))
+            step_fn(state, flat, grad, cfg)
+    return StepTrainResult(NetworkParams.from_flat(flat, initial.n_hidden), breakdown,
+                           tuple(last.copy()))
 
 
 @dataclass(frozen=True)

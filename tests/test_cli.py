@@ -585,7 +585,9 @@ def test_a_closed_stdout_exits_1_without_blaming_output_dir(tmp_path, unbuffered
         env["PYTHONUNBUFFERED"] = "1"
     out = tmp_path / "out"
     path = write_cfg(tmp_path, constant_cfg(out))
-    for args in (["selftest"], ["solve", "--config", path, "--no-plots"]):
+    # argparse prints the help and exits before the command runs
+    for args in (["selftest"], ["solve", "--config", path, "--no-plots"], ["--help"],
+                 ["solve", "--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)  # nothing will ever read what the command reports
         try:
@@ -594,6 +596,5 @@ def test_a_closed_stdout_exits_1_without_blaming_output_dir(tmp_path, unbuffered
         finally:
             os.close(write_end)
         assert proc.returncode == 1, proc.stderr
-        for text in ("output.dir", "Traceback", "Exception ignored"):
-            assert text not in proc.stderr
+        assert proc.stderr == ""
     assert (out / "surface.csv").is_file()

@@ -77,6 +77,23 @@ def test_parse_kv_text_errors():
     assert info.value.field == "a"
     with pytest.raises(ConfigError):
         parse_kv_text("= 3\n")
+    # an inline comment would otherwise become part of the value
+    for line in ("output.dir = res  # results here", "problem.rate = 0.05#"):
+        with pytest.raises(ConfigError) as info:
+            parse_kv_text(f"# a comment line is fine\n{line}\n")
+        assert info.value.field == line.split(" ")[0] and "#" in str(info.value)
+
+
+def test_solve_with_an_inline_comment_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    from bsann.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    text = "".join(f"{key} = {value}\n" for key, value in MINIMAL.items())
+    path = tmp_path / "inline.cfg"
+    path.write_text(text + "output.dir = res  # results here\n")
+    assert main(["solve", "--config", str(path), "--no-plots"]) == 2
+    assert "output.dir" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["inline.cfg"]
 
 
 def test_minimal_config_defaults():

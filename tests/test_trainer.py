@@ -26,7 +26,7 @@ from bsann.trainer import (
     TrainConfig,
     TrainingDiverged,
     _context_cost_grad,
-    _workspace,
+    _Workspace,
     workspace_nbytes,
     adam_step,
     build_step_context,
@@ -327,12 +327,20 @@ def _second_step(case):
     return (problem, dmap, grid, colloc, history), activation
 
 
-@pytest.mark.parametrize("case", ["truncated", "arctan", "sigmoid"])
-def test_train_step_matches_fresh_per_epoch_calls(case):
+_STEP_FNS = {"adam": adam_step, "sgd": sgd_step, "rmsprop": rmsprop_step}
+
+
+@pytest.mark.parametrize("case,optimizer", [
+    pytest.param(case, optimizer, id=case if optimizer == "adam" else f"{case}-{optimizer}")
+    for optimizer in _STEP_FNS for case in ("truncated", "arctan", "sigmoid")
+])
+def test_train_step_matches_fresh_per_epoch_calls(case, optimizer):
     # the loop reuses one workspace for every epoch and skips the Jacobian on
     # the last pass; neither may change a bit of the trajectory
     step, act = _second_step(case)
-    cfg = TrainConfig(eta=0.05, epochs_first=50, epochs_rest=50, seed=4)
+    step_fn = _STEP_FNS[optimizer]
+    cfg = TrainConfig(optimizer=optimizer, eta=0.05 if optimizer == "adam" else 0.002,
+                      epochs_first=50, epochs_rest=50, seed=4)
     initial = init_params(4, cfg.seed, 0.1)
     got = train_step_network(initial, *step, 1, cfg, output_activation=act)
     params, state, rows = initial, OptimizerState.zeros(initial.size), []
@@ -341,32 +349,50 @@ def test_train_step_matches_fresh_per_epoch_calls(case):
         rows.append((cost.pde_term, cost.left_bc_term, cost.right_bc_term, cost.total))
         if e < cfg.epochs_rest:
             grad = cost_gradient(params, *step, 1, output_activation=act)
-            state, flat = adam_step(state, params.to_flat(), grad.to_flat(), cfg)
+            state, flat = step_fn(state, params.to_flat(), grad.to_flat(), cfg)
             params = NetworkParams.from_flat(flat, 4)
     assert np.array_equal(got.breakdown, np.array(rows))
     assert np.array_equal(got.params.to_flat(), params.to_flat())
 
 
-@pytest.mark.parametrize("case", ["arctan", "sigmoid"])
+def _run_pass(ws, flat, row, grad=True):
+    ws.params[:] = flat
+    return _context_cost_grad(ws, row, grad)
+
+
+def _boundary_rows(ws):
+    """The value-gradient rows at the left and right boundary points that the
+    gradient read, in the flat layout."""
+    edges = ws.edges.swapaxes(0, 1)
+    return np.array([np.append(edge.ravel(), bias) for edge, bias in zip(edges, ws.bias_edges)])
+
+
+@pytest.mark.parametrize("case", ["truncated", "arctan", "sigmoid"])
 def test_workspace_carries_no_state_between_calls(case):
     step, act = _second_step(case)
     ctx = build_step_context(*step, 1, output_activation=act)
     n = 5
     rng = np.random.default_rng(22)
     flat_a, flat_b = rng.uniform(-1.0, 1.0, (2, 3 * n + 1))
-    ws = _workspace(ctx, n)
+    ws = _Workspace(ctx, n)
     bias_column = ws.jac[:, -1].copy()
     row, row_fresh, row_cost = np.empty((3, 4))
     for flat in (flat_a, flat_b, flat_a):
         want = eval_batch(NetworkParams.from_flat(flat, n), ctx.points, act)
-        full = [a.copy() for a in _context_cost_grad(ctx, flat, n, ws, row)]
-        grad, fresh = ws.grad.copy(), _workspace(ctx, n)
-        _context_cost_grad(ctx, flat, n, fresh, row_fresh)
+        full = _run_pass(ws, flat, row).copy()
+        grad, jac, rows = ws.grad.copy(), ws.jac.copy(), _boundary_rows(ws)
+        planes = ws.hidden.g.copy()
+        fresh = _Workspace(ctx, n)
+        _run_pass(fresh, flat, row_fresh)
         assert np.array_equal(row, row_fresh) and np.array_equal(grad, fresh.grad)
+        assert np.array_equal(jac, fresh.jac) and np.array_equal(rows, _boundary_rows(fresh))
+        assert np.array_equal(planes, fresh.hidden.g)
         # the cost-only pass returns what eval_batch computes, bit for bit,
-        # records the full call's cost row and leaves the gradient alone
-        cost_only = _context_cost_grad(ctx, flat, n, ws, row_cost, grad=False)
+        # records the full call's cost row and leaves the gradient and the
+        # Jacobian alone
+        cost_only = _run_pass(ws, flat, row_cost, grad=False)
         assert np.array_equal(row_cost, row) and np.array_equal(ws.grad, grad)
+        assert np.array_equal(ws.jac, jac)
         for got, full_got, expected in zip(cost_only, full, want):
             assert np.array_equal(got, expected) and np.array_equal(full_got, expected)
     if act == "identity":
@@ -376,7 +402,7 @@ def test_workspace_carries_no_state_between_calls(case):
         assert np.array_equal(bias_column, want)
         assert np.array_equal(ws.jac[:, -1], want)
         ws.jac[:, -1] = np.nan
-        _context_cost_grad(ctx, flat_b, n, ws, row)
+        _run_pass(ws, flat_b, row)
         assert np.all(np.isnan(ws.jac[:, -1]))
     else:
         # with the sigmoid head the output-bias column moves with the parameters
@@ -400,14 +426,15 @@ def test_cost_gradient_matches_blocks_reference_bit_for_bit(case, r, n):
     history.append(history.row(0) + rng.normal(scale=0.01, size=r))
     act = "sigmoid" if case == "sigmoid" else "identity"
     ctx = build_step_context(problem, dmap, grid, colloc, history, 1, output_activation=act)
-    ws = _workspace(ctx, n)
+    ws = _Workspace(ctx, n)
     for scale in (0.01, 0.1, 1.0, 4.0):
         params = NetworkParams.from_flat(rng.uniform(-scale, scale, 3 * n + 1), n)
         got = cost_gradient(params, problem, dmap, grid, colloc, history, 1, output_activation=act)
         grad, jac, rows = blocks_cost_gradient(ctx, params.to_flat(), n)
         assert np.array_equal(got.to_flat(), grad)
-        _context_cost_grad(ctx, params.to_flat(), n, ws, np.empty(4))
-        assert np.array_equal(ws.jac, jac) and np.array_equal(ws.rows, rows)
+        _run_pass(ws, params.to_flat(), np.empty(4))
+        assert np.array_equal(ws.grad, grad)
+        assert np.array_equal(ws.jac, jac) and np.array_equal(_boundary_rows(ws), rows)
 
 
 @pytest.mark.parametrize("act", ["identity", "sigmoid"])
@@ -415,15 +442,18 @@ def test_workspace_nbytes_counts_the_allocation(act):
     step, _ = _second_step("truncated")
     ctx = build_step_context(*step, 1, output_activation=act)
     n = 7
-    ws = _workspace(ctx, n)
-    arrays = [a for a in vars(ws.hidden).values() if isinstance(a, np.ndarray)]
-    arrays += [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-    arrays += [a for group in ws.targets for a in group]
+    ws = _Workspace(ctx, n)
     state = OptimizerState.zeros(3 * n + 1)
-    arrays += [state.m, state.v, state.scratch]
+    arrays = [state.m, state.v, state.scratch]
+    for owner in (ws.hidden, ws):
+        for value in vars(owner).values():
+            items = value if isinstance(value, tuple) else (value,)
+            arrays += [a for a in items if isinstance(a, np.ndarray)]
     bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
              for a in arrays}
     assert sum(a.nbytes for a in bases.values()) == workspace_nbytes(ctx.points.size, n)
+    # the Jacobian's group-major view writes jac itself
+    assert np.shares_memory(ws.jac_w, ws.jac) and ws.jac_w.shape == (3, ctx.n_pde, n)
 
 
 def test_training_divergence_is_reported():
