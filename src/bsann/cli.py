@@ -202,7 +202,7 @@ def cmd_sweep_alpha(args) -> int:
         except TrainingDiverged as exc:
             # a partial result lies on the same collocation grid
             s_points = exc.partial.s_points
-            note = f"diverged in step {exc.step_index} at epoch {exc.epoch}"
+            note = f"diverged in step {exc.step_index + 1} at epoch {exc.epoch}"
             status_rows.append((alpha, note, ""))
         else:
             s_points = result.s_points

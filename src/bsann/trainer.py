@@ -59,7 +59,7 @@ class TrainingDiverged(RuntimeError):
         self.breakdown = breakdown
         self.partial = None  # filled by solve with the results up to the failed step
         super().__init__(
-            f"training diverged at marching step {step_index} at epoch {epoch} (cost {cost!r})"
+            f"training diverged at marching step {step_index + 1} at epoch {epoch} (cost {cost!r})"
         )
 
 

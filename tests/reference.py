@@ -28,7 +28,8 @@ def _sigmoid(z):
 
 def blocks_cost_gradient(ctx, flat, n):
     """Flat step-cost gradient built from whole (r, 3n+1) gradient blocks,
-    with the residual Jacobian and the two boundary rows of value gradients.
+    with the residual Jacobian, the two boundary rows of value gradients, the
+    pass (value, d1, d2) and the cost row (pde, left_bc, right_bc, total).
 
     Broadcast products fill column slices of three blocks (value, d1, d2),
     and the residual Jacobian is a_value*g_value + a_d1*g_d1 + a_d2*g_d2 over
@@ -107,7 +108,10 @@ def blocks_cost_gradient(ctx, flat, n):
         + 2.0 * left_miss * g_val[0]
         + 2.0 * right_miss * g_val[m - 1]
     )
-    return grad, jac, g_val[[0, m - 1]]
+    pde = float(resid @ resid) / (2.0 * ctx.points.size)
+    left, right = left_miss**2, right_miss**2
+    cost = np.array([pde, left, right, pde + left + right])
+    return grad, jac, g_val[[0, m - 1]], (val, d1, d2), cost
 
 
 def _thomas(lower, diag, upper, rhs):

@@ -235,7 +235,7 @@ def test_divergence_exits_3_with_partial_outputs(tmp_path, capsys):
     cfg = write_cfg(tmp_path, divergent_cfg(out))
     assert main(["solve", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert "error: training diverged" in err and "step 0" in err
+    assert "error: training diverged at marching step 1 " in err
     header, rows = read_csv(out / "surface.csv")
     assert header == ("t", "S", "U")
     assert len(rows) == 150  # only the data row was reached
@@ -248,7 +248,7 @@ def test_partial_march_is_plotted_without_the_exact_price(tmp_path, capsys):
     extra = "training.epochs_first = 3\ntraining.epochs_rest = 60\n"
     cfg = write_cfg(tmp_path, divergent_cfg(out, extra))
     assert main(["solve", "--config", cfg]) == 3
-    assert "step 1" in capsys.readouterr().err
+    assert "marching step 2 " in capsys.readouterr().err
     names = os.listdir(out)
     assert "params_step_1.csv" in names and "params_step_2.csv" not in names
     # like errors.csv, no error plot: the last row is not at the reporting time
@@ -446,7 +446,7 @@ def test_sweep_alpha_keeps_alpha_order_past_a_divergence(tmp_path, capsys, monke
     assert header == ("S", "alpha_0.4", "alpha_0.6") and len(rows) == 12
     header, rows = read_csv(out / "sweep_status.csv")
     assert [r[0] for r in rows] == ["0.4", "0.5", "0.6"]
-    assert [r[1] for r in rows] == ["completed", "diverged in step 1 at epoch 7", "completed"]
+    assert [r[1] for r in rows] == ["completed", "diverged in step 2 at epoch 7", "completed"]
     assert rows[1][2] == "" and rows[0][2] != "" and rows[2][2] != ""
 
 
@@ -481,7 +481,7 @@ def test_sweep_alpha_diverged_status_is_readable(tmp_path, capsys):
     assert "at least one alpha diverged" in capsys.readouterr().err
     header, rows = read_csv(out / "sweep_status.csv")
     assert header == ("alpha", "status", "max_abs_error")
-    assert rows[0][0] == "0.4" and rows[0][1].startswith("diverged in step 0")
+    assert rows[0][0] == "0.4" and rows[0][1].startswith("diverged in step 1 ")
     assert rows[0][2] == ""
     header, rows = read_csv(out / "sweep.csv")
     assert header == ("S",) and len(rows) == 12

@@ -8,7 +8,7 @@ import reference
 from bsann.config import build_grid, build_map, build_problem, build_train_config, load_config
 from bsann.mapping import from_x, make_arctan_map, to_x, truncated_map
 from bsann.network import eval_batch, init_params, load_params_csv
-from bsann.problems import INITIAL_DATA, ProblemSpec, european_call, fractional_manufactured
+from bsann.problems import european_call, fractional_manufactured
 from bsann.solver import (
     START_STEPS,
     SolveResult,
@@ -22,7 +22,7 @@ from bsann.solver import (
     write_solution_outputs,
     write_surface_csv,
 )
-from bsann.stepper import SpatialOperator, StepHistory, make_time_grid, spatial_rhs
+from bsann.stepper import StepHistory, make_time_grid, spatial_rhs
 from bsann.trainer import (
     OptimizerState,
     TrainConfig,
@@ -31,29 +31,9 @@ from bsann.trainer import (
     build_step_context,
     step_cost,
 )
+from cases import constant_problem
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-
-
-def constant_problem(exact=True):
-    op = SpatialOperator(
-        gamma1=lambda s: np.zeros_like(s),
-        gamma2=lambda s: np.zeros_like(s),
-        gamma3=0.0,
-        forcing=lambda s, t: 0.0,
-    )
-    one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-    return ProblemSpec(
-        name="constant",
-        alpha=1.0,
-        maturity=1.0,
-        operator=op,
-        data_kind=INITIAL_DATA,
-        data=one,
-        left_bc=lambda s, t: 1.0,
-        right_bc=lambda s, t: 1.0,
-        exact=(lambda s, t: one(s)) if exact else None,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +221,7 @@ def test_solve_divergence_carries_partial_result():
     assert exc.partial is not None
     assert exc.partial.surface.shape == (1, 150)
     assert exc.partial.params_per_step == ()
-    assert "step 0" in str(exc)
+    assert "marching step 1 " in str(exc)
     assert not exc.partial.complete
     with pytest.raises(ValueError, match="partial"):
         error_metrics(exc.partial)
@@ -361,48 +341,36 @@ def test_read_csv_rejects_bad_files(tmp_path):
         read_csv(ragged)
 
 
-def _reference_pass(ctx, flat, n):
-    """(value, d1, d2) of the identity head at ctx.points, written the long
-    way as in reference.blocks_cost_gradient."""
-    w, b, v, beta = flat[:n], flat[n : 2 * n], flat[2 * n : 3 * n], flat[-1]
-    z = np.outer(ctx.points, w)
-    z += b
-    s = reference._sigmoid(z)
-    s1 = s * (1.0 - s)
-    s2 = s1 * (1.0 - 2.0 * s)
-    return s @ v + beta, (s1 * w) @ v, (s2 * (w * w)) @ v
-
-
-def _reference_march(problem, dmap, grid, n_points, n_hidden, cfg, init_scale):
+def _reference_march(problem, dmap, grid, n_points, n_hidden, cfg, init_scale, act):
     """Surface, breakdowns and parameters of a backward-Euler march whose every
-    epoch is a reference pass and cost, blocks_cost_gradient and adam_step."""
+    epoch is one reference.blocks_cost_gradient call and one adam_step."""
     colloc = build_collocation(dmap, n_points)
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     flat = init_params(n_hidden, cfg.seed, init_scale).to_flat()
     breakdowns, params = [], []
     for k in range(grid.n_steps):
-        ctx = build_step_context(problem, dmap, grid, colloc, history, k)
-        m, state = ctx.n_pde, OptimizerState.zeros(flat.size)
+        ctx = build_step_context(problem, dmap, grid, colloc, history, k, output_activation=act)
+        state = OptimizerState.zeros(flat.size)
         epochs = cfg.epochs_first if k == 0 else cfg.epochs_rest
         rows = []
         for e in range(epochs + 1):
-            val, d1, d2 = _reference_pass(ctx, flat, n_hidden)
-            resid = ctx.a_value * val[:m] + ctx.a_d1 * d1[:m] + ctx.a_d2 * d2[:m] + ctx.offset
-            left = float(val[0] - ctx.left_target) ** 2
-            right = float(val[m - 1] - ctx.right_target) ** 2
-            pde = float(resid @ resid) / (2.0 * ctx.points.size)
-            rows.append((pde, left, right, pde + left + right))
+            grad, _, _, (val, _, _), cost = reference.blocks_cost_gradient(ctx, flat, n_hidden)
+            rows.append(cost)
             if e < epochs:
-                adam_step(state, flat, reference.blocks_cost_gradient(ctx, flat, n_hidden)[0], cfg)
+                adam_step(state, flat, grad, cfg)
         history.append(val)
         breakdowns.append(np.array(rows))
         params.append(flat.copy())
     return history.values(), breakdowns, params
 
 
+_FRACTIONAL = dict(n_steps=4, epochs_first=1000, epochs_rest=300)
+
+
 @pytest.mark.parametrize("config,overrides", [
     ("example1_mapped.cfg", dict(n_steps=3)),
-    ("example2_fractional.cfg", dict(n_steps=4, epochs_first=1000, epochs_rest=300)),
+    ("example2_fractional.cfg", _FRACTIONAL),
+    ("example2_fractional.cfg", dict(_FRACTIONAL, output_activation="sigmoid")),
 ])
 def test_solve_matches_the_reference_march_bit_for_bit(config, overrides):
     # pins the hand-over from step to step (the last, cost-only pass becomes
@@ -411,9 +379,10 @@ def test_solve_matches_the_reference_march_bit_for_bit(config, overrides):
     problem, dmap, grid = build_problem(cfg), build_map(cfg), build_grid(cfg)
     train_cfg = build_train_config(cfg)
     result = solve(problem, dmap, grid, cfg.n_hidden, cfg.n_points, train_cfg,
-                   init_scale=cfg.init_scale)
+                   init_scale=cfg.init_scale, output_activation=cfg.output_activation)
     surface, breakdowns, params = _reference_march(problem, dmap, grid, cfg.n_points,
-                                                   cfg.n_hidden, train_cfg, cfg.init_scale)
+                                                   cfg.n_hidden, train_cfg, cfg.init_scale,
+                                                   cfg.output_activation)
     assert np.array_equal(result.surface, surface)
     assert len(result.breakdowns) == len(breakdowns) == grid.n_steps
     for got, want in zip(result.breakdowns, breakdowns):

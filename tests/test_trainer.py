@@ -5,20 +5,9 @@ import pytest
 
 from bsann.mapping import from_x, jacobians, make_arctan_map, transform_derivatives, truncated_map
 from bsann.network import NetworkParams, eval_batch, forward, init_params
-from bsann.problems import (
-    INITIAL_DATA,
-    ProblemSpec,
-    european_call,
-    fractional_manufactured,
-)
+from bsann.problems import european_call, fractional_manufactured
 from bsann.solver import build_collocation
-from bsann.stepper import (
-    SpatialOperator,
-    StepHistory,
-    caputo_residual,
-    make_time_grid,
-    spatial_rhs,
-)
+from bsann.stepper import StepHistory, caputo_residual, make_time_grid, spatial_rhs
 from bsann import trainer
 from bsann.trainer import (
     OptimizerState,
@@ -38,27 +27,8 @@ from bsann.trainer import (
     step_cost,
     train_step_network,
 )
+from cases import constant_problem
 from reference import blocks_cost_gradient, theta_residual
-
-
-def constant_problem():
-    op = SpatialOperator(
-        gamma1=lambda s: np.zeros_like(s),
-        gamma2=lambda s: np.zeros_like(s),
-        gamma3=0.0,
-        forcing=lambda s, t: 0.0,
-    )
-    return ProblemSpec(
-        name="constant",
-        alpha=1.0,
-        maturity=1.0,
-        operator=op,
-        data_kind=INITIAL_DATA,
-        data=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        left_bc=lambda s, t: 1.0,
-        right_bc=lambda s, t: 1.0,
-        exact=lambda s, t: np.ones_like(np.asarray(s, dtype=float)),
-    )
 
 
 def test_train_config_validation():
@@ -178,65 +148,36 @@ def _sliced_history(history, idx):
     return out
 
 
-def test_step_cost_matches_naive_assembly_euler():
-    problem = european_call(0.05, 0.2, 10.0, 1.0)
-    dmap = truncated_map(15.0)
-    grid = make_time_grid(4, 1.0, 1.0)
-    colloc = build_collocation(dmap, 18)
-    rng = np.random.default_rng(8)
-    history = StepHistory(problem.data(colloc.points))
-    history.append(rng.normal(size=18))
-    params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 16), 5)
-    got = step_cost(params, problem, dmap, grid, colloc, history, 1)
-    want = naive_cost(params, problem, dmap, grid, colloc, history, 1)
+# problem, map, (n_steps, maturity, alpha), points, seed, random history rows
+# (the step index), hidden units, theta
+_NAIVE_CASES = {
+    "euler": (lambda: european_call(0.05, 0.2, 10.0, 1.0), truncated_map(15.0), (4, 1.0, 1.0),
+              18, 8, 1, 5, 1.0),
+    "fractional": (lambda: fractional_manufactured(0.5), truncated_map(1.0), (6, 1.0, 0.5),
+                   15, 9, 3, 4, 1.0),
+    "mapped": (lambda: european_call(0.05, 0.2, 10.0, 1.0), make_arctan_map(10.0, 0.6),
+               (5, 1.0, 1.0), 9, 10, 2, 6, 1.0),
+    "theta_half": (constant_problem, truncated_map(2.0), (4, 1.0, 1.0), 10, 11, 0, 3, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", _NAIVE_CASES)
+def test_step_cost_matches_naive_assembly(case):
+    make_problem, dmap, grid_args, r, seed, step, n, theta = _NAIVE_CASES[case]
+    problem, grid = make_problem(), make_time_grid(*grid_args)
+    colloc = build_collocation(dmap, r)
+    rng = np.random.default_rng(seed)
+    history = StepHistory(problem.data(from_x(dmap, colloc.points)))
+    for _ in range(step):
+        history.append(rng.normal(size=r))
+    rhs_old = rng.normal(size=r) if theta < 1.0 else None
+    params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 3 * n + 1), n)
+    got = step_cost(params, problem, dmap, grid, colloc, history, step, theta, rhs_old)
+    want = naive_cost(params, problem, dmap, grid, colloc, history, step, theta, rhs_old)
     assert got.total == pytest.approx(want, rel=1e-12)
     assert got.total == pytest.approx(
         got.pde_term + got.left_bc_term + got.right_bc_term, rel=1e-15
     )
-
-
-def test_step_cost_matches_naive_assembly_fractional():
-    problem = fractional_manufactured(0.5)
-    dmap = truncated_map(1.0)
-    grid = make_time_grid(6, 1.0, 0.5)
-    colloc = build_collocation(dmap, 15)
-    rng = np.random.default_rng(9)
-    history = StepHistory(problem.data(colloc.points))
-    for _ in range(3):
-        history.append(rng.normal(size=15))
-    params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 13), 4)
-    got = step_cost(params, problem, dmap, grid, colloc, history, 3)
-    want = naive_cost(params, problem, dmap, grid, colloc, history, 3)
-    assert got.total == pytest.approx(want, rel=1e-12)
-
-
-def test_step_cost_matches_naive_assembly_mapped():
-    problem = european_call(0.05, 0.2, 10.0, 1.0)
-    dmap = make_arctan_map(10.0, 0.6)
-    grid = make_time_grid(5, 1.0, 1.0)
-    colloc = build_collocation(dmap, 9)
-    rng = np.random.default_rng(10)
-    history = StepHistory(problem.data(from_x(dmap, colloc.points)))
-    history.append(rng.normal(size=9))
-    history.append(rng.normal(size=9))
-    params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 19), 6)
-    got = step_cost(params, problem, dmap, grid, colloc, history, 2)
-    want = naive_cost(params, problem, dmap, grid, colloc, history, 2)
-    assert got.total == pytest.approx(want, rel=1e-12)
-
-
-def test_step_cost_matches_naive_assembly_theta_half():
-    problem = constant_problem()
-    dmap = truncated_map(2.0)
-    grid = make_time_grid(4, 1.0, 1.0)
-    colloc = build_collocation(dmap, 10)
-    rng = np.random.default_rng(11)
-    history = StepHistory(problem.data(colloc.points))
-    rhs_old = rng.normal(size=10)
-    params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 10), 3)
-    got = step_cost(params, problem, dmap, grid, colloc, history, 0, theta=0.5, rhs_old=rhs_old)
-    want = naive_cost(params, problem, dmap, grid, colloc, history, 0, theta=0.5, rhs_old=rhs_old)
-    assert got.total == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", ["euler", "fractional", "mapped"])
@@ -415,8 +356,8 @@ def test_cost_gradient_matches_blocks_reference_bit_for_bit(case, r, n):
     # a gradient that differed by 3.6e-16 relative moved example3_truncated's
     # error from 1.4e-2 to 1.9e-1, so the kernel must equal the whole-block
     # reference exactly, not to a tolerance. The gradient's sums absorb most
-    # last-bit changes of single Jacobian entries, so the Jacobian and the
-    # boundary rows are compared too.
+    # last-bit changes of single Jacobian entries, so the Jacobian, the
+    # boundary rows, the pass and the cost row are compared too.
     rng = np.random.default_rng(r + n)
     problem = european_call(0.05, 0.2, 10.0, 1.0)
     dmap = make_arctan_map(10.0, 0.6) if case == "arctan" else truncated_map(15.0)
@@ -430,9 +371,11 @@ def test_cost_gradient_matches_blocks_reference_bit_for_bit(case, r, n):
     for scale in (0.01, 0.1, 1.0, 4.0):
         params = NetworkParams.from_flat(rng.uniform(-scale, scale, 3 * n + 1), n)
         got = cost_gradient(params, problem, dmap, grid, colloc, history, 1, output_activation=act)
-        grad, jac, rows = blocks_cost_gradient(ctx, params.to_flat(), n)
+        grad, jac, rows, values, cost = blocks_cost_gradient(ctx, params.to_flat(), n)
         assert np.array_equal(got.to_flat(), grad)
-        _run_pass(ws, params.to_flat(), np.empty(4))
+        row = np.empty(4)
+        out = _run_pass(ws, params.to_flat(), row)
+        assert np.array_equal(out, values) and np.array_equal(row, cost)
         assert np.array_equal(ws.grad, grad)
         assert np.array_equal(ws.jac, jac) and np.array_equal(_boundary_rows(ws), rows)
 
@@ -484,7 +427,7 @@ def test_training_divergence_names_its_step():
         train_step_network(init_params(20, cfg.seed, 0.01), problem, dmap, grid, colloc,
                            history, 1, cfg)
     assert info.value.step_index == 1
-    assert "marching step 1" in str(info.value)
+    assert "marching step 2 " in str(info.value)
 
 
 def test_probe_first_step_shares_the_start():
