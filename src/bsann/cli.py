@@ -360,10 +360,10 @@ def _selftest_checks():
         problem = european_call(0.05, 0.2, 10.0, 1.0)
         grid = make_time_grid(2, 1.0, 1.0)
         cfg = TrainConfig(eta=0.03, epochs_first=40, epochs_rest=20, seed=5)
-        a = _solve(problem, truncated_map(15.0), grid, 4, 12, cfg)
-        # both steps of a 2-step march are backward Euler at every theta
-        b = _solve(problem, truncated_map(15.0), grid, 4, 12, cfg, theta=0.5)
+        a, b = (_solve(problem, truncated_map(15.0), grid, 4, 12, cfg) for _ in range(2))
         assert np.array_equal(a.surface, b.surface)
+        for pa, pb in zip(a.params_per_step, b.params_per_step, strict=True):
+            assert np.array_equal(pa.flat, pb.flat)
 
     return [
         ("sigmoid and normal CDF", check_sigmoid_and_cdf),

@@ -180,7 +180,8 @@ KEYS: Dict[str, Key] = {
     "map.l": Key("quantile", _float, 0.6, _OPEN_UNIT, _where(kinds=(ARCTAN,))),
     "grid.n_steps": Key("n_steps", _int, REQUIRED, _at_least(1)),
     "grid.alpha": Key("alpha", _float, 1.0, (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")),
-    "grid.theta": Key("theta", _float, 1.0, (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    # kept so that existing configs parse: every step is implicit
+    "grid.theta": Key("theta", _float, 1.0, (lambda v: v == 1.0, "must be 1 (every step is implicit)")),
     "points.count": Key("n_points", _int, REQUIRED, _at_least(2)),
     "network.n_hidden": Key("n_hidden", _int, REQUIRED, _at_least(1)),
     "network.seed": Key("seed", _int, 0, _at_least(0)),
@@ -250,8 +251,6 @@ def config_from_mapping(raw: Dict[str, str]) -> RunConfig:
             raise ConfigError("problem.rate", f"must be non-negative for {name}, got {cfg.rate}")
         if cfg.alpha != 1.0:
             raise ConfigError("grid.alpha", f"{name} is an ordinary problem; set grid.alpha = 1")
-    if cfg.alpha < 1.0 and cfg.theta != 1.0:
-        raise ConfigError("grid.theta", "fractional marching is implicit only; set theta = 1")
     if name == FRACTIONAL:
         if cfg.alpha == 1.0:
             raise ConfigError("grid.alpha", "fractional benchmark needs alpha in (0, 1)")

@@ -102,8 +102,3 @@ def jacobians(dmap: DomainMap, x) -> Tuple[np.ndarray, np.ndarray]:
     upsilon = dmap.length * np.pi / (2.0 * cos_half * cos_half)
     theta = -2.0 * cos_half * np.sin(half) / dmap.length
     return upsilon, theta
-
-
-def transform_derivatives(d1, d2, upsilon, theta) -> Tuple[np.ndarray, np.ndarray]:
-    """Convert x-space first and second derivatives to price space."""
-    return d1 / upsilon, d2 / (upsilon * upsilon) + theta * d1 / upsilon

@@ -29,11 +29,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .csvio import read_csv, read_numeric_csv, write_csv  # noqa: F401  (readers re-exported)
-from .mapping import ARCTAN, DomainMap, from_x, jacobians, transform_derivatives
+from .mapping import ARCTAN, DomainMap, from_x
 # nothing here calls eval_batch; bench/layers.py wraps bsann.solver.eval_batch
 from .network import IDENTITY, NetworkParams, eval_batch, init_params, save_params_csv  # noqa: F401
 from .problems import TERMINAL_PAYOFF, CollocationSet, ProblemSpec, collocation_points
-from .stepper import StepHistory, TimeGrid, spatial_rhs
+from .stepper import StepHistory, TimeGrid
 from .trainer import TrainConfig, TrainingDiverged, train_step_network
 
 
@@ -93,10 +93,6 @@ def history_at(result: SolveResult, step_index: int) -> StepHistory:
     return hist
 
 
-# steps that solve() runs at theta = 1 before switching to its theta
-START_STEPS = 2
-
-
 def solve(
     problem: ProblemSpec,
     dmap: DomainMap,
@@ -110,12 +106,9 @@ def solve(
 ) -> SolveResult:
     """March all time steps, one trained network per step.
 
-    Steps 1 and 2 are backward Euler whatever theta is (Rannacher's start:
-    two implicit steps damp the payoff's kink before a theta < 1 step sees
-    it). Every later step uses theta, and takes the old step's spatial rhs
-    from the previous step's network and its exact input derivatives (the
-    last pass of its training), so no derivative of the data row is ever
-    needed.
+    Every step is implicit: the L1 scheme for alpha < 1, which is backward
+    Euler at alpha = 1. theta is kept for existing callers and must be 1;
+    step 1's context rejects any other before training starts.
 
     Raises TrainingDiverged with the failing step index and the partial
     result (completed rows) attached when a step's cost blows up.
@@ -124,15 +117,10 @@ def solve(
         raise ValueError(
             f"grid alpha {grid.alpha} does not match problem alpha {problem.alpha}"
         )
-    if not 0.0 <= theta <= 1.0 or (theta < 1.0 and grid.alpha < 1.0):
-        raise ValueError(f"theta must lie in [0, 1], and be 1 when alpha < 1; got {theta}")
     colloc = build_collocation(dmap, n_points)
     s_vals = from_x(dmap, colloc.points)
     history = StepHistory(problem.data(s_vals))
     params = init_params(n_hidden, cfg.seed, init_scale)
-    # the map's chain-rule factors, for the old step's rhs when theta < 1
-    factors = jacobians(dmap, colloc.points) if theta < 1.0 else None
-    rhs_old = None
 
     snapshots = []
     breakdowns = []
@@ -157,21 +145,17 @@ def solve(
         t0 = time.perf_counter()
         try:
             res = train_step_network(
-                params, problem, dmap, grid, colloc, history, k - 1, cfg,
-                theta if k > START_STEPS else 1.0, rhs_old, output_activation,
+                params, problem, dmap, grid, colloc, history, k - 1, cfg, theta,
+                output_activation=output_activation,
             )
         except TrainingDiverged as exc:
             exc.partial = result()
             raise
         walls.append(time.perf_counter() - t0)
         params = res.params
-        val, d1, d2 = res.last_pass
-        history.append(val)
+        history.append(res.values)
         snapshots.append(params)
         breakdowns.append(res.breakdown)
-        if theta < 1.0:
-            d1, d2 = transform_derivatives(d1, d2, *factors)
-            rhs_old = spatial_rhs(problem.operator, s_vals, k * grid.dt, val, d1, d2)
     return result()
 
 

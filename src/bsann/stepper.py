@@ -8,11 +8,7 @@ the classical L1 formula. With b_m = (m+1)^(1-alpha) - m^(1-alpha),
 
 whose truncation error is O(dt^(2-alpha)) for C^2 trajectories. At alpha = 1
 the weights collapse to (1, 0, 0, ...) and the residual reduces to backward
-Euler. The ordinary first derivative additionally supports a theta-weighted
-right-hand side ((new-old)/dt - theta*rhs_new - (1-theta)*rhs_old), which the
-trainer folds into its per-step residual coefficients. The solver runs its
-first two steps at theta = 1 and takes rhs_old of every later step from the
-previous step's network, so the data row is never differentiated.
+Euler, the scheme of every ordinary step.
 """
 
 from __future__ import annotations

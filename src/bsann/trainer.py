@@ -6,8 +6,8 @@ For one marching step the cost is
            + (N(left) - M_a(t))^2 + (N(right) - M_b(t))^2
 
 where the residual couples the candidate network to the stored history
-through the marching scheme (L1 memory sum for alpha < 1, theta scheme for
-alpha = 1, implicit by default). All residual and cost gradients are exact:
+through the implicit marching scheme (the L1 memory sum, which is backward
+Euler at alpha = 1). All residual and cost gradients are exact:
 the network's input derivatives and parameter gradients are closed forms, so
 no finite differences of the candidate network appear anywhere.
 
@@ -143,12 +143,14 @@ def build_step_context(
     rhs_old: Optional[np.ndarray] = None,
     output_activation: str = IDENTITY,
 ) -> StepContext:
-    """Assemble the per-step linear residual coefficients and BC targets."""
+    """Assemble the per-step linear residual coefficients and BC targets.
+
+    Every step is implicit, so there is no old-step rhs: theta and rhs_old
+    are kept for existing callers and must be 1 and None.
+    """
     _check_activation(output_activation)
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if grid.alpha < 1.0 and theta != 1.0:
-        raise ValueError("the fractional marching scheme is implicit-only (theta = 1)")
+    if theta != 1.0 or rhs_old is not None:
+        raise ValueError(f"every step is implicit: theta must be 1 and rhs_old None, got {theta}")
     pts = colloc.points
     r = colloc.count
     if history.n_points != r:
@@ -170,21 +172,11 @@ def build_step_context(
         np.asarray(problem.operator.forcing(s_pde, t_next), dtype=float), s_pde.shape
     )
 
-    # theta weights the new step's spatial operator; the old step's part
-    # enters through rhs_old
     c_t, acc = l1_history(grid, history, step_index, slice(0, m))
-    offset = c_t * acc - theta * f_vals
-    if theta < 1.0:
-        if rhs_old is None:
-            raise ValueError("theta < 1 requires the previous step's spatial rhs")
-        rhs_old = np.asarray(rhs_old, dtype=float)
-        if rhs_old.shape != (r,):
-            raise ValueError("rhs_old must cover the full collocation grid")
-        offset = offset - (1.0 - theta) * rhs_old[:m]
-
-    a_value = np.full_like(x_pde, c_t) - theta * g3
-    a_d1 = -theta * (g1 * map_theta + g2) / upsilon
-    a_d2 = -theta * g1 / (upsilon * upsilon)
+    offset = c_t * acc - f_vals
+    a_value = np.full_like(x_pde, c_t) - g3
+    a_d1 = -(g1 * map_theta + g2) / upsilon
+    a_d2 = -g1 / (upsilon * upsilon)
 
     return StepContext(
         points=pts,
@@ -426,11 +418,11 @@ OPTIMIZERS = tuple(_STEP_FNS)
 
 @dataclass(frozen=True)
 class StepTrainResult:
-    """Trained parameters, the recorded cost trajectory and the last pass."""
+    """Trained parameters, the recorded cost trajectory and the last pass's values."""
 
     params: NetworkParams
     breakdown: np.ndarray  # (epochs+1, 4): pde, left_bc, right_bc, total
-    last_pass: tuple       # (value, d1, d2) of params at colloc.points
+    values: np.ndarray     # the network's values at colloc.points
 
 
 def train_step_network(
@@ -451,8 +443,9 @@ def train_step_network(
     The budget is cfg.epochs_first for the first step and cfg.epochs_rest
     afterwards (warm starts make the later steps cheap). The returned
     breakdown has epochs+1 rows; row e holds the cost after e updates.
-    The last pass, the cost-only one after the last update, is returned as
-    copies: bit for bit eval_batch(params, colloc.points, output_activation).
+    The values of the last pass, the cost-only one after the last update,
+    are returned as a copy: bit for bit eval_batch(params, colloc.points,
+    output_activation)[0].
     """
     ctx = build_step_context(
         problem, dmap, grid, colloc, history, step_index, theta, rhs_old, output_activation
@@ -473,7 +466,7 @@ def train_step_network(
         if e < epochs:
             step_fn(state, flat, grad, cfg)
     return StepTrainResult(NetworkParams.from_flat(flat, initial.n_hidden), breakdown,
-                           tuple(last.copy()))
+                           last[0].copy())
 
 
 @dataclass(frozen=True)
@@ -512,12 +505,11 @@ def probe_first_step(
 ) -> Tuple[ProbeRun, ...]:
     """Train the first marching step once per variant, all from one shared start.
 
-    The first step is backward Euler for every theta (see solver.solve), so
-    a probe needs no theta and no old-step rhs. Each variant names the
-    TrainConfig fields that differ from cfg. Returns one run per variant, in
-    order. A diverging run is recorded with its breakdown up to the failing
-    epoch; it is never raised. Each run builds one workspace for its step;
-    with the identity head its epochs allocate no array.
+    Each variant names the TrainConfig fields that differ from cfg. Returns
+    one run per variant, in order. A diverging run is recorded with its
+    breakdown up to the failing epoch; it is never raised. Each run builds
+    one workspace for its step; with the identity head its epochs allocate
+    no array.
     """
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     initial = init_params(n_hidden, cfg.seed, init_scale)
@@ -554,8 +546,7 @@ def lr_grid_search(
     Trains the first marching step for probe_epochs under each candidate eta
     from one shared initialization. Returns (best eta, one run per candidate
     in order): the best eta has the lowest final cost, ties going to the
-    smaller eta, and is None when every candidate diverges. The first step is
-    backward Euler for every theta, so the search has no theta.
+    smaller eta, and is None when every candidate diverges.
     """
     if len(candidates) == 0:
         raise ValueError("need at least one learning-rate candidate")

@@ -5,19 +5,22 @@ import numpy as np
 from bsann.stepper import StepHistory, l1_history
 
 
-def theta_residual(theta, dt, old_values, new_values, rhs_old, rhs_new):
-    """Ordinary theta-scheme residual (theta = 1 fully implicit)."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+def euler_residual(dt, old_values, new_values, rhs_new):
+    """Backward-Euler residual (new - old)/dt - rhs_new, the ordinary march's scheme."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     old_values = np.asarray(old_values, dtype=float)
     new_values = np.asarray(new_values, dtype=float)
-    rhs_old = np.asarray(rhs_old, dtype=float)
     rhs_new = np.asarray(rhs_new, dtype=float)
-    if not (old_values.shape == new_values.shape == rhs_old.shape == rhs_new.shape):
+    if not (old_values.shape == new_values.shape == rhs_new.shape):
         raise ValueError("all vectors must share one shape")
-    return (new_values - old_values) / dt - (theta * rhs_new + (1.0 - theta) * rhs_old)
+    return (new_values - old_values) / dt - rhs_new
+
+
+def transform_derivatives(d1, d2, upsilon, theta):
+    """Convert x-space first and second derivatives to price space with the
+    chain-rule factors of bsann.mapping.jacobians (see that module's docstring)."""
+    return d1 / upsilon, d2 / (upsilon * upsilon) + theta * d1 / upsilon
 
 
 def _sigmoid(z):

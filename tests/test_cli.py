@@ -198,9 +198,17 @@ def test_unusable_custom_functions_exit_2(tmp_path, capsys, key, text):
          "compare.optimizers"),
         ("sweep-alpha", fractional_cfg("{out}", "sweep.alphas = 0.5, 0.5\n"), "sweep.alphas"),
         ("lr-search", constant_cfg("{out}", "lr.candidates = 0.01, 0.01\n"), "lr.candidates"),
+        # every step is implicit; grid.theta stays a key so that existing configs parse
+        ("solve", constant_cfg("{out}", "grid.theta = 0.5\n"), "grid.theta"),
+        ("compare", constant_cfg("{out}", "grid.theta = 0.5\n"), "grid.theta"),
+        ("lr-search", constant_cfg("{out}", "lr.candidates = 0.01\ngrid.theta = 0.5\n"),
+         "grid.theta"),
+        ("sweep-alpha", fractional_cfg("{out}", "sweep.alphas = 0.4\ngrid.theta = 0.5\n"),
+         "grid.theta"),
     ],
     ids=["negative-option-rate", "arctan-points-reach-surrogate", "duplicate-optimizer",
-         "repeated-alpha", "repeated-eta"],
+         "repeated-alpha", "repeated-eta", "retired-theta-solve", "retired-theta-compare",
+         "retired-theta-lr-search", "retired-theta-sweep-alpha"],
 )
 def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, command, cfg_text, key):
     out = tmp_path / "out"
@@ -310,37 +318,6 @@ def test_an_unwritable_artifact_exits_2_and_keeps_earlier_outputs(
     assert "config error: output.dir: cannot write" in err and blocked in err
     if written is not None:
         assert (out / written).is_file()
-
-
-def call_cfg(out_dir, extra=""):
-    return (
-        "problem.name = european_call\n"
-        "map.kind = truncated\n"
-        "map.s_max = 15\n"
-        "grid.n_steps = 4\n"
-        "points.count = 31\n"
-        "network.n_hidden = 6\n"
-        "training.epochs_first = 60\n"
-        f"output.dir = {out_dir}\n" + extra
-    )
-
-
-@pytest.mark.parametrize(
-    "command, extra, csvs",
-    [
-        ("compare", "compare.optimizers = adam,sgd\n", ("cost_adam.csv", "cost_sgd.csv")),
-        ("lr-search", "lr.candidates = 0.01,0.05\nlr.probe_epochs = 60\n", ("lr_search.csv",)),
-    ],
-    ids=["compare", "lr-search"],
-)
-def test_probes_do_not_depend_on_theta(tmp_path, capsys, command, extra, csvs):
-    # the probes train step 1, which is backward Euler at every theta
-    for theta in ("1", "0.5"):
-        cfg = write_cfg(tmp_path, call_cfg(tmp_path / theta, extra + f"grid.theta = {theta}\n"))
-        assert main([command, "--config", cfg, "--no-plots"]) == 0
-    capsys.readouterr()
-    for name in csvs:
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "0.5" / name).read_bytes()
 
 
 def test_missing_config_flag_is_usage_error(capsys):

@@ -96,7 +96,7 @@ def _lines(base, key, value):
 @example(_lines(0, "problem.strike", "1e300"), False, "solve")
 @example(_lines(2, "problem.maturity", "1e300"), False, "solve")
 # the first-step probes used to need an old-step rhs at theta < 1, and escaped
-# as ValueError
+# as ValueError; a theta other than 1 is now a config error
 @example(_lines(0, "grid.theta", "0.5"), False, "compare")
 @example(_lines(0, "grid.theta", "0.5"), False, "lr-search")
 # custom functions without S used to give 0-d values: a data row that no

@@ -10,7 +10,6 @@ from bsann.mapping import from_x, make_arctan_map, to_x, truncated_map
 from bsann.network import eval_batch, init_params, load_params_csv
 from bsann.problems import european_call, fractional_manufactured
 from bsann.solver import (
-    START_STEPS,
     SolveResult,
     build_collocation,
     error_metrics,
@@ -22,14 +21,13 @@ from bsann.solver import (
     write_solution_outputs,
     write_surface_csv,
 )
-from bsann.stepper import StepHistory, make_time_grid, spatial_rhs
+from bsann.stepper import StepHistory, make_time_grid
 from bsann.trainer import (
     OptimizerState,
     TrainConfig,
     TrainingDiverged,
     adam_step,
     build_step_context,
-    step_cost,
 )
 from cases import constant_problem
 
@@ -111,42 +109,18 @@ def test_solve_alpha_mismatch():
         solve(problem, truncated_map(15.0), grid, 4, 10, TrainConfig())
 
 
-@pytest.mark.parametrize("theta, alpha", [(-0.1, 1.0), (1.5, 1.0), (0.5, 0.5)])
-def test_solve_rejects_a_theta_before_training(theta, alpha):
-    # a 1-step march never reaches a theta step, so the check must come first
+@pytest.mark.parametrize("theta, alpha", [(-0.1, 1.0), (1.5, 1.0), (0.5, 0.5), (0.5, 1.0)])
+def test_solve_rejects_a_theta_before_training(monkeypatch, theta, alpha):
+    # every step is implicit: theta must be 1, and the check comes before any training
+    monkeypatch.setattr("bsann.trainer._Workspace", None)
     problem = fractional_manufactured(alpha) if alpha < 1.0 else european_call(0.05, 0.2, 10.0, 1.0)
     grid = make_time_grid(1, 1.0, alpha)
     with pytest.raises(ValueError, match="theta"):
         solve(problem, truncated_map(1.0), grid, 4, 10, TrainConfig(), theta)
 
 
-def test_theta_half_starts_with_two_backward_euler_steps():
-    # 31 points on [0, 15] put a node on the strike, where the payoff has its
-    # kink; a finite-difference payoff rhs used to blow this run up
-    problem = european_call(0.05, 0.2, 10.0, 1.0)
-    dmap = truncated_map(15.0)
-    grid = make_time_grid(4, 1.0, 1.0)
-    cfg = TrainConfig(eta=0.03, epochs_first=300, epochs_rest=60, seed=0)
-    euler = solve(problem, dmap, grid, 20, 31, cfg, 1.0)
-    half = solve(problem, dmap, grid, 20, 31, cfg, 0.5)
-    assert 10.0 in half.s_points and half.theta == 0.5
-    assert START_STEPS == 2
-    for k in range(START_STEPS):
-        assert np.array_equal(half.breakdowns[k], euler.breakdowns[k])
-        assert np.array_equal(half.params_per_step[k].to_flat(), euler.params_per_step[k].to_flat())
-    assert not np.array_equal(half.breakdowns[2], euler.breakdowns[2])
-    # step 3 starts from step 2's network, whose exact derivatives give rhs_old
-    prev = half.params_per_step[1]
-    rhs_old = spatial_rhs(problem.operator, half.s_points, 2 * grid.dt,
-                          *eval_batch(prev, half.colloc.points))
-    start = step_cost(prev, problem, dmap, grid, half.colloc, history_at(half, 2), 2,
-                      0.5, rhs_old)
-    assert start.total == half.breakdowns[2][0, 3]
-    assert error_metrics(half).max_abs <= 1.1 * error_metrics(euler).max_abs
-
-
-_ROW_CASES = [(act, kind, theta, 1.0) for act in ("identity", "sigmoid")
-              for kind in ("truncated", "arctan") for theta in (1.0, 0.5)]
+_ROW_CASES = [(act, kind, 1.0, 1.0) for act in ("identity", "sigmoid")
+              for kind in ("truncated", "arctan")]
 
 
 @pytest.mark.parametrize("act,kind,theta,alpha", _ROW_CASES + [("identity", "truncated", 1.0, 0.5)])

@@ -13,7 +13,6 @@ from bsann.stepper import (
     make_time_grid,
     spatial_rhs,
 )
-from reference import theta_residual
 
 
 def test_b_weights_frozen_values():
@@ -166,21 +165,6 @@ def test_caputo_rejects_unready_history():
     hist = StepHistory(np.zeros(3))
     with pytest.raises(ValueError):
         caputo_residual(grid, hist, np.zeros(3), np.zeros(3), 1)
-
-
-def test_theta_residual_limits():
-    rng = np.random.default_rng(33)
-    old = rng.normal(size=6)
-    new = rng.normal(size=6)
-    rhs_old = rng.normal(size=6)
-    rhs_new = rng.normal(size=6)
-    dt = 0.25
-    implicit = theta_residual(1.0, dt, old, new, rhs_old, rhs_new)
-    assert np.allclose(implicit, (new - old) / dt - rhs_new, atol=1e-14)
-    explicit = theta_residual(0.0, dt, old, new, rhs_old, rhs_new)
-    assert np.allclose(explicit, (new - old) / dt - rhs_old, atol=1e-14)
-    half = theta_residual(0.5, dt, old, new, rhs_old, rhs_new)
-    assert np.allclose(half, (new - old) / dt - 0.5 * (rhs_old + rhs_new), atol=1e-14)
 
 
 def test_spatial_rhs_matches_hand_formula():

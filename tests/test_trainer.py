@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bsann.mapping import from_x, jacobians, make_arctan_map, transform_derivatives, truncated_map
+from bsann.mapping import from_x, jacobians, make_arctan_map, truncated_map
 from bsann.network import NetworkParams, eval_batch, forward, init_params
 from bsann.problems import european_call, fractional_manufactured
 from bsann.solver import build_collocation
@@ -28,7 +28,7 @@ from bsann.trainer import (
     train_step_network,
 )
 from cases import constant_problem
-from reference import blocks_cost_gradient, theta_residual
+from reference import blocks_cost_gradient, euler_residual, transform_derivatives
 
 
 def test_train_config_validation():
@@ -102,7 +102,7 @@ def test_optimizer_shape_validation():
         sgd_step(OptimizerState.zeros(2), np.zeros(2), np.zeros(3), cfg)
 
 
-def naive_cost(params, problem, dmap, grid, colloc, history, step_index, theta=1.0, rhs_old=None):
+def naive_cost(params, problem, dmap, grid, colloc, history, step_index):
     """Cost assembled the long way: network forward, explicit rhs, residual."""
     pts = colloc.points
     r = pts.size
@@ -131,9 +131,7 @@ def naive_cost(params, problem, dmap, grid, colloc, history, step_index, theta=1
             step_index,
         )
     else:
-        old = history.row(step_index)[pde]
-        rhs_prev = np.zeros(r) if rhs_old is None else np.asarray(rhs_old)
-        resid = theta_residual(theta, grid.dt, old, vals[pde], rhs_prev[pde], rhs_new[pde])
+        resid = euler_residual(grid.dt, history.row(step_index)[pde], vals[pde], rhs_new[pde])
     cost = float(resid @ resid) / (2.0 * r)
     cost += (vals[0] - problem.left_bc(float(s_vals[0]), t_next)) ** 2
     cost += (vals[right_index] - problem.right_bc(float(s_vals[right_index]), t_next)) ** 2
@@ -149,31 +147,29 @@ def _sliced_history(history, idx):
 
 
 # problem, map, (n_steps, maturity, alpha), points, seed, random history rows
-# (the step index), hidden units, theta
+# (the step index), hidden units
 _NAIVE_CASES = {
     "euler": (lambda: european_call(0.05, 0.2, 10.0, 1.0), truncated_map(15.0), (4, 1.0, 1.0),
-              18, 8, 1, 5, 1.0),
+              18, 8, 1, 5),
     "fractional": (lambda: fractional_manufactured(0.5), truncated_map(1.0), (6, 1.0, 0.5),
-                   15, 9, 3, 4, 1.0),
+                   15, 9, 3, 4),
     "mapped": (lambda: european_call(0.05, 0.2, 10.0, 1.0), make_arctan_map(10.0, 0.6),
-               (5, 1.0, 1.0), 9, 10, 2, 6, 1.0),
-    "theta_half": (constant_problem, truncated_map(2.0), (4, 1.0, 1.0), 10, 11, 0, 3, 0.5),
+               (5, 1.0, 1.0), 9, 10, 2, 6),
 }
 
 
 @pytest.mark.parametrize("case", _NAIVE_CASES)
 def test_step_cost_matches_naive_assembly(case):
-    make_problem, dmap, grid_args, r, seed, step, n, theta = _NAIVE_CASES[case]
+    make_problem, dmap, grid_args, r, seed, step, n = _NAIVE_CASES[case]
     problem, grid = make_problem(), make_time_grid(*grid_args)
     colloc = build_collocation(dmap, r)
     rng = np.random.default_rng(seed)
     history = StepHistory(problem.data(from_x(dmap, colloc.points)))
     for _ in range(step):
         history.append(rng.normal(size=r))
-    rhs_old = rng.normal(size=r) if theta < 1.0 else None
     params = NetworkParams.from_flat(rng.uniform(-0.5, 0.5, 3 * n + 1), n)
-    got = step_cost(params, problem, dmap, grid, colloc, history, step, theta, rhs_old)
-    want = naive_cost(params, problem, dmap, grid, colloc, history, step, theta, rhs_old)
+    got = step_cost(params, problem, dmap, grid, colloc, history, step)
+    want = naive_cost(params, problem, dmap, grid, colloc, history, step)
     assert got.total == pytest.approx(want, rel=1e-12)
     assert got.total == pytest.approx(
         got.pde_term + got.left_bc_term + got.right_bc_term, rel=1e-15
@@ -225,10 +221,11 @@ def test_context_contract_errors():
         build_step_context(problem, dmap, grid, colloc, history, 0, theta=0.5)
     euler = make_time_grid(4, 1.0, 1.0)
     call = european_call(0.05, 0.2, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        build_step_context(call, truncated_map(15.0), euler,
-                           build_collocation(truncated_map(15.0), 10),
-                           StepHistory(np.zeros(10)), 0, theta=0.5)  # rhs_old missing
+    for retired in (dict(theta=0.5), dict(rhs_old=np.zeros(10))):
+        with pytest.raises(ValueError):
+            build_step_context(call, truncated_map(15.0), euler,
+                               build_collocation(truncated_map(15.0), 10),
+                               StepHistory(np.zeros(10)), 0, **retired)  # no theta < 1 scheme
     with pytest.raises(ValueError):
         build_step_context(call, truncated_map(15.0), euler,
                            build_collocation(truncated_map(15.0), 10),
