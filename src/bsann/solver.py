@@ -191,12 +191,13 @@ def error_metrics(result: SolveResult) -> ErrorSummary:
 
 
 def write_surface_csv(path, result: SolveResult) -> None:
-    """Rows (t, S, U) over every stored step; t is calendar time."""
-    s_points = result.s_points.tolist()
+    """Rows (t, S, U) over every stored step; t is calendar time. Each t and
+    S is formatted once, as the str cell that write_csv would make of it."""
+    s_cells = [repr(s) for s in result.s_points.tolist()]
     write_csv(path, ("t", "S", "U"), (
         (t, s, u)
-        for t, row in zip(result.natural_times.tolist(), result.surface)
-        for s, u in zip(s_points, row.tolist())
+        for t, row in zip(map(repr, result.natural_times.tolist()), result.surface)
+        for s, u in zip(s_cells, row.tolist())
     ))
 
 

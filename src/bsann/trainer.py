@@ -34,9 +34,11 @@ from .network import (
     IDENTITY,
     NetworkParams,
     PassBuffers,
+    _SLACK,
     _check_activation,
     _grads,
     _values,
+    aligned_empty,
     init_params,
 )
 from .problems import CollocationSet, ProblemSpec, pow_or_inf
@@ -91,7 +93,8 @@ class OptimizerState:
     """First and second moment accumulators plus the update counter.
 
     The update steps overwrite m and v in place. Their two scratch vectors,
-    the rows of scratch, are allocated with the state unless given.
+    the rows of scratch, are allocated with the state unless given. Every
+    array that the state allocates starts on a cache line.
     """
 
     m: np.ndarray
@@ -101,11 +104,13 @@ class OptimizerState:
 
     def __post_init__(self):
         if self.scratch is None:
-            self.scratch = np.empty((2, self.m.size))
+            self.scratch = aligned_empty((2, self.m.size))
 
     @classmethod
     def zeros(cls, size: int) -> "OptimizerState":
-        return cls(m=np.zeros(size), v=np.zeros(size), iteration=0)
+        m, v = aligned_empty(size), aligned_empty(size)
+        m[:] = v[:] = 0.0
+        return cls(m=m, v=v, iteration=0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +210,8 @@ class _Workspace:
     group-major view of jac[:, :3n]. One call scales both boundary rows of value
     gradients, read from the gradient planes. The identity head's constant
     output-bias column of jac is written once, here. A cost-only pass
-    (step_cost, a step's last epoch) leaves jac and grad alone.
+    (step_cost, a step's last epoch) leaves jac and grad alone. Every array
+    that an epoch reads or writes starts on a cache line (aligned_empty).
     """
 
     def __init__(self, ctx: StepContext, n: int):
@@ -214,15 +220,17 @@ class _Workspace:
         self.identity = ctx.output_activation == IDENTITY
         self.hidden = h = PassBuffers(ctx.points, n)
         self.params = h.params
-        self.coef = np.zeros((3, r))
+        self.coef = aligned_empty((3, r))
+        self.coef[:] = 0.0
         self.coef[:, :m] = ctx.a_value, ctx.a_d1, ctx.a_d2
-        self.terms = np.empty((3, r))
+        self.terms = aligned_empty((3, r))
         self.term_rows = tuple(self.terms[:, :m])
-        self.resid = np.empty(m)
-        self.coef_planes = np.repeat(self.coef[:, :, None], n, axis=2)
-        self.prod_val, self.prod_d1, self.prod_d2 = prods = np.empty((3, 3, r, n))
+        self.resid = aligned_empty(m)
+        self.coef_planes = aligned_empty((3, r, n))
+        self.coef_planes[:] = self.coef[:, :, None]
+        self.prod_val, self.prod_d1, self.prod_d2 = prods = aligned_empty((3, 3, r, n))
         self.prods_g = prods.swapaxes(0, 1)
-        self.jac_all = np.empty((r, size))
+        self.jac_all = aligned_empty((r, size))
         self.jac = self.jac_all[:m]
         self.jac_w = self.jac_all[:, : 3 * n].reshape(r, 3, n).swapaxes(0, 1)
         # value gradients at the left and right boundary points, (3 groups, 2, n)
@@ -230,11 +238,11 @@ class _Workspace:
         self.miss = np.empty(2)           # twice the boundary misses
         self.miss_col = self.miss[:, None]
         self.bias_edges = np.ones(2)      # output-bias value gradients there
-        self.scaled = np.empty((2, size))
+        self.scaled = aligned_empty((2, size))
         self.scaled_w = self.scaled[:, : 3 * n].reshape(2, 3, n).swapaxes(0, 1)
         self.scaled_bias = self.scaled[:, -1]
         self.scaled_left, self.scaled_right = self.scaled
-        self.grad = np.empty(size)
+        self.grad = aligned_empty(size)
         if self.identity:
             self._bias_column(h.one, h.zero, h.zero)
 
@@ -252,8 +260,9 @@ def workspace_nbytes(r: int, n: int) -> int:
     and n hidden units; an upper bound, exact when every point is a residual row."""
     size = 3 * n + 1
     # coefficient and product planes; jac; coef, terms, resid; miss, bias edges;
-    # scaled, grad and the optimizer's m, v and scratch
-    own = 12 * r * n + r * size + 7 * r + 4 + 7 * size
+    # scaled, grad and the optimizer's m, v and scratch; the slack of those
+    # eleven aligned blocks
+    own = 12 * r * n + r * size + 7 * r + 4 + 7 * size + 11 * _SLACK
     return PassBuffers.nbytes(r, n) + 8 * own
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from bsann.config import build_grid, build_map, build_problem, build_train_config, load_config
+from bsann.csvio import write_csv
 from bsann.mapping import from_x, make_arctan_map, to_x, truncated_map
 from bsann.network import eval_batch, init_params, load_params_csv
 from bsann.problems import european_call, fractional_manufactured
@@ -274,6 +275,20 @@ def test_surface_csv_round_trip(tiny_solve, tmp_path):
     assert np.array_equal(mat[:, 2], result.surface.ravel())
     assert np.array_equal(mat[:12, 1], result.s_points)
     assert np.array_equal(mat[::12, 0], grid.times())
+
+
+def test_surface_csv_bytes_match_per_cell_formatting(tiny_solve, tmp_path):
+    # t and S are formatted once per value, not once per cell; the bytes
+    # must be those of the float cells that write_csv formats one by one
+    result = tiny_solve[-1]
+    write_surface_csv(tmp_path / "surface.csv", result)
+    rows = [
+        (t, s, u)
+        for t, row in zip(result.natural_times, result.surface)
+        for s, u in zip(result.s_points, row)
+    ]
+    write_csv(tmp_path / "cells.csv", ("t", "S", "U"), rows)
+    assert (tmp_path / "surface.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_errors_and_cost_and_timing_csv(tiny_solve, tmp_path):

@@ -396,6 +396,37 @@ def test_workspace_nbytes_counts_the_allocation(act):
     assert np.shares_memory(ws.jac_w, ws.jac) and ws.jac_w.shape == (3, ctx.n_pde, n)
 
 
+@pytest.mark.parametrize("act", ["identity", "sigmoid"])
+@pytest.mark.parametrize("r,n", [(150, 20), (7, 3)])
+def test_epoch_buffers_start_on_cache_lines(r, n, act):
+    problem = european_call(0.05, 0.2, 10.0, 1.0)
+    dmap = truncated_map(15.0)
+    colloc = build_collocation(dmap, r)
+    history = StepHistory(problem.data(colloc.points))
+    ctx = build_step_context(problem, dmap, make_time_grid(4, 1.0, 1.0), colloc, history, 0,
+                             output_activation=act)
+    for junk in range(1, 8):
+        # 8 to 56 bytes taken from the heap first, so that no lucky heap
+        # state lines the blocks up by itself
+        held = [np.empty(junk), bytes(8 * junk)]
+        ws = _Workspace(ctx, n)
+        state = OptimizerState.zeros(3 * n + 1)
+        h = ws.hidden
+        blocks = {
+            "params": h.params, "planes": h.xx, "out": h.out, "coef": ws.coef,
+            "terms": ws.terms, "resid": ws.resid, "coef_planes": ws.coef_planes,
+            "prods": ws.prod_val, "jac_all": ws.jac_all, "scaled": ws.scaled,
+            "grad": ws.grad, "m": state.m, "v": state.v, "scratch": state.scratch,
+        }
+        if r * n % 8 == 0:
+            # planes of whole cache lines: then every plane starts on one too
+            planes = (*h.xx, *h.wq, *h.vvv, *h.tmp, *h.sd, *h.g.reshape(9, r, n),
+                      *ws.coef_planes, *ws.prod_val, *ws.prod_d1, *ws.prod_d2)
+            blocks.update((f"plane {i}", p) for i, p in enumerate(planes))
+        misaligned = [name for name, a in blocks.items() if a.ctypes.data % 64]
+        assert not misaligned, (len(held[1]), misaligned)
+
+
 def test_training_divergence_is_reported():
     problem = european_call(0.05, 0.2, 10.0, 1.0)
     dmap = truncated_map(15.0)
