@@ -213,10 +213,10 @@ def cmd_sweep_alpha(args) -> int:
             # the next alpha's solve: keep a copy and let the rest go now
             finals.append((alpha, result.final_row().copy()))
             del result
-        print(f"alpha={alpha:g}: {note}")
+        print(f"alpha={alpha!r}: {note}")
     write_csv(
         os.path.join(cfg.out_dir, "sweep.csv"),
-        ["S"] + [f"alpha_{a:g}" for a, _ in finals],
+        ["S"] + [f"alpha_{a!r}" for a, _ in finals],
         np.column_stack([s_points] + [row for _, row in finals]).tolist(),
     )
     write_csv(
@@ -224,7 +224,7 @@ def cmd_sweep_alpha(args) -> int:
         status_rows,
     )
     if cfg.plots and finals:
-        series = [LineSeries(s_points, row, f"alpha={a:g}") for a, row in finals]
+        series = [LineSeries(s_points, row, f"alpha={a!r}") for a, row in finals]
         write_line_plot(
             os.path.join(cfg.out_dir, "sweep.svg"), series,
             title="final-time solution by alpha", x_label="S", y_label="U",

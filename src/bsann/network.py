@@ -88,21 +88,25 @@ def init_params(n_hidden: int, seed: int, scale: float = 0.01) -> NetworkParams:
     return NetworkParams.from_flat(flat, n_hidden)
 
 
-# float64s that aligned_empty over-asks: enough to reach a 64-byte boundary
-# from any 8-byte-aligned block start
-_SLACK = 8
+def aligned_nbytes(*shapes) -> int:
+    """Bytes of aligned_empty(*shapes)'s block: whole 64-byte lines per view, and
+    7 float64s of slack to reach a line from any 8-byte-aligned block start."""
+    return 56 + 64 * sum(-(-math.prod(shape) // 8) for shape in shapes)
 
 
-def aligned_empty(shape) -> np.ndarray:
-    """An uninitialized float64 C-contiguous array that starts on a 64-byte
-    boundary: a cache line. A vectorized loop over an array that starts
-    elsewhere splits loads across lines, which made an epoch 10-20 % slower
-    wherever malloc happened to put a step's buffers. The array is a view of
-    one block _SLACK elements larger than it."""
-    size = math.prod(shape) if isinstance(shape, tuple) else shape
-    block = np.empty(size + _SLACK)
+def aligned_empty(*shapes) -> list:
+    """One uninitialized float64 C-contiguous view per shape tuple, all from one
+    block, each padded to whole 64-byte cache lines and starting on one, so
+    where a view lies depends only on the shapes. A vectorized loop over an
+    array that starts off a line splits loads across lines, which made an epoch
+    10-20 % slower wherever malloc happened to put a step's buffers."""
+    block = np.empty(aligned_nbytes(*shapes) // 8)
     start = -block.__array_interface__["data"][0] % 64 // 8
-    return block[start : start + size].reshape(shape)
+    views = []
+    for shape in shapes:
+        views.append(block[start : start + math.prod(shape)].reshape(shape))
+        start += -(-views[-1].size // 8) * 8
+    return views
 
 
 def _sigmoid_into(z, out, ez):
@@ -139,16 +143,16 @@ class PassBuffers:
     g[2, 0] is s itself. numpy runs a same-shape contiguous operation as one
     flat loop, far faster at these sizes than a broadcast or strided one. out
     holds (value, d1, d2): (P, P_x, P_xx) of P = s @ v + beta, from one
-    batched matmul of g[2], or the sigmoid head's. params, the plane block and
-    out start on cache lines (aligned_empty). Views are bound once, here.
+    batched matmul of g[2], or the sigmoid head's. Every array comes from one
+    aligned_empty call on shapes(r, n), so each starts on a cache line. Views
+    are bound once, here.
     """
 
     def __init__(self, x: np.ndarray, n: int):
         x = np.asarray(x, dtype=float).ravel()
         r = x.size
-        self.params = aligned_empty(3 * n + 1)
+        self.params, planes, self.out, self.one, self.zero = aligned_empty(*self.shapes(r, n))
         self.pw, self.pb, self.pv = self.params[: 3 * n].reshape(3, n)
-        planes = aligned_empty((_PLANES, r, n))
         self.xx, self.wq, self.vvv, self.tmp, self.sd, g = np.split(planes, [2, 4, 7, 10, 13])
         self.xx[:] = x[:, None]
         self.x, self.w, self.ww, self.vv = self.xx[0], self.wq[0], self.wq[1], self.vvv[:2]
@@ -160,16 +164,13 @@ class PassBuffers:
         self.g_w0, self.g_w1, self.g_w2 = g_w
         self.g_b0, self.s, self.g_v1, self.g_v2 = self.g_b[0], *self.g_v
         self.g_w12, self.g_b12, self.g_v12 = g_w[1:], self.g_b[1:], self.g_v[1:]
-        self.out = aligned_empty((3, r))
         self.p = self.out[0]
-        # g_value, g_d1 and g_d2 of the output bias
-        self.one, self.zero = np.ones((r, 1)), np.zeros((r, 1))
+        self.one[:], self.zero[:] = 1.0, 0.0  # the output bias's g_value; g_d1, g_d2
 
     @staticmethod
-    def nbytes(r: int, n: int) -> int:
-        """Bytes that PassBuffers(x, n) allocates for r inputs, with the slack
-        of its three aligned blocks."""
-        return 8 * (_PLANES * r * n + 5 * r + 3 * n + 1 + 3 * _SLACK)
+    def shapes(r: int, n: int) -> tuple:
+        """Shapes of params, the plane block, out, one and zero for r inputs."""
+        return (3 * n + 1,), (_PLANES, r, n), (3, r), (r, 1), (r, 1)
 
 
 def _values(h: PassBuffers, output_activation=IDENTITY) -> np.ndarray:

@@ -34,11 +34,11 @@ from .network import (
     IDENTITY,
     NetworkParams,
     PassBuffers,
-    _SLACK,
     _check_activation,
     _grads,
     _values,
     aligned_empty,
+    aligned_nbytes,
     init_params,
 )
 from .problems import CollocationSet, ProblemSpec, pow_or_inf
@@ -94,7 +94,7 @@ class OptimizerState:
 
     The update steps overwrite m and v in place. Their two scratch vectors,
     the rows of scratch, are allocated with the state unless given. Every
-    array that the state allocates starts on a cache line.
+    array that the state allocates starts on a cache line (aligned_empty).
     """
 
     m: np.ndarray
@@ -104,13 +104,13 @@ class OptimizerState:
 
     def __post_init__(self):
         if self.scratch is None:
-            self.scratch = aligned_empty((2, self.m.size))
+            (self.scratch,) = aligned_empty((2, self.m.size))
 
     @classmethod
     def zeros(cls, size: int) -> "OptimizerState":
-        m, v = aligned_empty(size), aligned_empty(size)
+        m, v, scratch = aligned_empty((size,), (size,), (2, size))
         m[:] = v[:] = 0.0
-        return cls(m=m, v=v, iteration=0)
+        return cls(m=m, v=v, iteration=0, scratch=scratch)
 
 
 @dataclass(frozen=True)
@@ -210,39 +210,35 @@ class _Workspace:
     group-major view of jac[:, :3n]. One call scales both boundary rows of value
     gradients, read from the gradient planes. The identity head's constant
     output-bias column of jac is written once, here. A cost-only pass
-    (step_cost, a step's last epoch) leaves jac and grad alone. Every array
-    that an epoch reads or writes starts on a cache line (aligned_empty).
+    (step_cost, a step's last epoch) leaves jac and grad alone. Every array, a
+    zeroed optimizer state's too, is a view of one aligned_empty block.
     """
 
     def __init__(self, ctx: StepContext, n: int):
-        m, r, size = ctx.n_pde, ctx.points.size, 3 * n + 1
+        m, r = ctx.n_pde, ctx.points.size
         self.ctx = ctx
         self.identity = ctx.output_activation == IDENTITY
         self.hidden = h = PassBuffers(ctx.points, n)
         self.params = h.params
-        self.coef = aligned_empty((3, r))
+        (self.coef, self.terms, self.resid, self.coef_planes, prods, self.jac_all,
+         self.miss, self.bias_edges, self.scaled, self.grad, moment1, moment2,
+         scratch) = aligned_empty(*_workspace_shapes(r, m, n))
         self.coef[:] = 0.0
         self.coef[:, :m] = ctx.a_value, ctx.a_d1, ctx.a_d2
-        self.terms = aligned_empty((3, r))
         self.term_rows = tuple(self.terms[:, :m])
-        self.resid = aligned_empty(m)
-        self.coef_planes = aligned_empty((3, r, n))
         self.coef_planes[:] = self.coef[:, :, None]
-        self.prod_val, self.prod_d1, self.prod_d2 = prods = aligned_empty((3, 3, r, n))
+        self.prod_val, self.prod_d1, self.prod_d2 = prods
         self.prods_g = prods.swapaxes(0, 1)
-        self.jac_all = aligned_empty((r, size))
         self.jac = self.jac_all[:m]
         self.jac_w = self.jac_all[:, : 3 * n].reshape(r, 3, n).swapaxes(0, 1)
         # value gradients at the left and right boundary points, (3 groups, 2, n)
         self.edges = h.g[:, 0, 0 : m : m - 1]
-        self.miss = np.empty(2)           # twice the boundary misses
-        self.miss_col = self.miss[:, None]
-        self.bias_edges = np.ones(2)      # output-bias value gradients there
-        self.scaled = aligned_empty((2, size))
+        self.miss_col = self.miss[:, None]  # twice the boundary misses
         self.scaled_w = self.scaled[:, : 3 * n].reshape(2, 3, n).swapaxes(0, 1)
         self.scaled_bias = self.scaled[:, -1]
         self.scaled_left, self.scaled_right = self.scaled
-        self.grad = aligned_empty(size)
+        moment1[:] = moment2[:] = 0.0
+        self.state = OptimizerState(moment1, moment2, scratch=scratch)
         if self.identity:
             self._bias_column(h.one, h.zero, h.zero)
 
@@ -255,15 +251,18 @@ class _Workspace:
         self.bias_edges[:] = g_val[0, 0], g_val[m - 1, 0]
 
 
+def _workspace_shapes(r: int, m: int, n: int) -> tuple:
+    """Shapes of _Workspace's own arrays, in the order that it unpacks them, for
+    r points of which m are residual rows."""
+    size = 3 * n + 1
+    return ((3, r), (3, r), (m,), (3, r, n), (3, 3, r, n), (r, size), (2,), (2,), (2, size),
+            (size,), (size,), (size,), (2, size))
+
+
 def workspace_nbytes(r: int, n: int) -> int:
     """Bytes of one step's training workspace and optimizer state for r points
     and n hidden units; an upper bound, exact when every point is a residual row."""
-    size = 3 * n + 1
-    # coefficient and product planes; jac; coef, terms, resid; miss, bias edges;
-    # scaled, grad and the optimizer's m, v and scratch; the slack of those
-    # eleven aligned blocks
-    own = 12 * r * n + r * size + 7 * r + 4 + 7 * size + 11 * _SLACK
-    return PassBuffers.nbytes(r, n) + 8 * own
+    return aligned_nbytes(*PassBuffers.shapes(r, n)) + aligned_nbytes(*_workspace_shapes(r, r, n))
 
 
 def _context_cost_grad(ws: _Workspace, row: np.ndarray, grad: bool = True) -> np.ndarray:
@@ -462,9 +461,8 @@ def train_step_network(
     epochs = cfg.epochs_first if step_index == 0 else cfg.epochs_rest
     step_fn = _STEP_FNS[cfg.optimizer]
     ws = _Workspace(ctx, initial.n_hidden)
-    flat, grad = ws.params, ws.grad
+    flat, grad, state = ws.params, ws.grad, ws.state
     flat[:] = initial.flat
-    state = OptimizerState.zeros(flat.size)
     breakdown = np.empty((epochs + 1, 4))
     for e in range(epochs + 1):
         # the last pass only records the cost, so it skips the Jacobian

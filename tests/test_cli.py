@@ -373,19 +373,22 @@ def test_compare_all_divergent_exits_3(tmp_path, capsys):
     assert costs[-1, 4] > 1e12
 
 
-def test_sweep_alpha_outputs(tmp_path, capsys):
+# alphas that agree to six significant digits still name distinct columns
+@pytest.mark.parametrize("alphas", [("0.4", "0.6"), ("0.3000001", "0.3000002")],
+                         ids=["apart", "close"])
+def test_sweep_alpha_outputs(tmp_path, capsys, alphas):
     out = tmp_path / "sweep"
-    cfg = write_cfg(tmp_path, fractional_cfg(out, "sweep.alphas = 0.4,0.6\n"))
+    cfg = write_cfg(tmp_path, fractional_cfg(out, f"sweep.alphas = {','.join(alphas)}\n"))
     assert main(["sweep-alpha", "--config", cfg]) == 0
     stdout = capsys.readouterr().out
-    assert "alpha=0.4" in stdout and "alpha=0.6" in stdout
+    assert all(f"alpha={a}:" in stdout for a in alphas)
     header, rows = read_csv(out / "sweep.csv")
-    assert header == ("S", "alpha_0.4", "alpha_0.6")
+    assert header == ("S", *(f"alpha_{a}" for a in alphas))
     assert len(rows) == 12
     # each column is, bit for bit, the final row of a solve at that alpha alone
     _, table = read_numeric_csv(out / "sweep.csv")
     base = load_config(cfg)
-    for column, alpha in ((1, 0.4), (2, 0.6)):
+    for column, alpha in enumerate(map(float, alphas), 1):
         run = replace(base, alpha=alpha)
         result = solve(
             build_problem(run), build_map(run), build_grid(run), run.n_hidden, run.n_points,

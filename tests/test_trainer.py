@@ -383,7 +383,7 @@ def test_workspace_nbytes_counts_the_allocation(act):
     ctx = build_step_context(*step, 1, output_activation=act)
     n = 7
     ws = _Workspace(ctx, n)
-    state = OptimizerState.zeros(3 * n + 1)
+    state = ws.state
     arrays = [state.m, state.v, state.scratch]
     for owner in (ws.hidden, ws):
         for value in vars(owner).values():
@@ -391,6 +391,8 @@ def test_workspace_nbytes_counts_the_allocation(act):
             arrays += [a for a in items if isinstance(a, np.ndarray)]
     bases = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
              for a in arrays}
+    # one block for the pass buffers, one for the rest of the step
+    assert len(bases) == 2
     assert sum(a.nbytes for a in bases.values()) == workspace_nbytes(ctx.points.size, n)
     # the Jacobian's group-major view writes jac itself
     assert np.shares_memory(ws.jac_w, ws.jac) and ws.jac_w.shape == (3, ctx.n_pde, n)
@@ -410,7 +412,7 @@ def test_epoch_buffers_start_on_cache_lines(r, n, act):
         # state lines the blocks up by itself
         held = [np.empty(junk), bytes(8 * junk)]
         ws = _Workspace(ctx, n)
-        state = OptimizerState.zeros(3 * n + 1)
+        state = ws.state
         h = ws.hidden
         blocks = {
             "params": h.params, "planes": h.xx, "out": h.out, "coef": ws.coef,
