@@ -71,7 +71,7 @@ class SolveResult:
     @property
     def natural_times(self) -> np.ndarray:
         """Calendar times per surface row (maturity - tau for option problems)."""
-        t = self.grid.times()
+        t = self.grid.t
         if self.problem.data_kind == TERMINAL_PAYOFF:
             return self.problem.maturity - t
         return t

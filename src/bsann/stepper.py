@@ -36,12 +36,15 @@ def b_weights(alpha: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid with the memory weights for its fractional order:
-    b = b_weights(alpha, n_steps), one per step, for alpha < 1 and empty at alpha = 1."""
+    """Uniform time grid: read-only node times t = dt * arange(n_steps + 1), the
+    L1 coefficient coef = 1 / (Gamma(2-alpha) dt^alpha), 1/dt at alpha = 1, and
+    the memory weights b = b_weights(alpha, n_steps), empty at alpha = 1."""
 
     n_steps: int
     dt: float
     alpha: float
+    t: np.ndarray = field(init=False, compare=False)
+    coef: float = field(init=False, compare=False)
     b: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -51,15 +54,21 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        b = b_weights(self.alpha, self.n_steps) if self.alpha < 1.0 else np.empty(0)
+        t = self.dt * np.arange(self.n_steps + 1)
+        t.flags.writeable = False
+        if self.alpha == 1.0:
+            coef, b = 1.0 / self.dt, np.empty(0)
+        else:
+            # Python floats: numpy's power need not round like C pow
+            coef = 1.0 / (math.gamma(2.0 - self.alpha) * self.dt**self.alpha)
+            b = b_weights(self.alpha, self.n_steps)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "b", b)
 
     @property
     def horizon(self) -> float:
-        return self.n_steps * self.dt
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_steps + 1)
+        return float(self.t[-1])
 
 
 def make_time_grid(n_steps: int, horizon: float, alpha: float = 1.0) -> TimeGrid:
@@ -149,30 +158,25 @@ def l1_history(
 ) -> Tuple[float, np.ndarray]:
     """Known part of the discrete time derivative for the candidate step n+1.
 
-    Returns (coef, acc) with the derivative of a candidate row U_{n+1} equal
-    to coef * (U_{n+1} + acc), where
+    Returns (grid.coef, acc) with the derivative of a candidate row U_{n+1}
+    equal to grid.coef * (U_{n+1} + acc), where
 
         acc = -U_n + sum_{m=1}^{n} b_m (U_{n+1-m} - U_{n-m}),
-        coef = 1 / (Gamma(2-alpha) dt^alpha),
 
     restricted to the given history columns. At alpha = 1 the memory sum
-    vanishes and coef = 1/dt (backward Euler). n must name a step of the
-    grid, 0 <= n < grid.n_steps.
+    vanishes (backward Euler). n must name a step of the grid, 0 <= n < grid.n_steps.
     """
     if n >= grid.n_steps:
         raise ValueError(f"step index {n} is past the grid's last step {grid.n_steps - 1}")
     if n < 0 or history.steps_completed < n:
         raise ValueError(f"history holds steps 0..{history.steps_completed}, need 0..{n}")
     acc = -history.row(n)[columns]
-    if grid.alpha == 1.0:
-        return 1.0 / grid.dt, acc
-    coef = 1.0 / (math.gamma(2.0 - grid.alpha) * grid.dt**grid.alpha)
-    if n >= 1:
+    if grid.alpha < 1.0 and n >= 1:
         rows = history.values()[: n + 1, columns]
         diffs = rows[1:] - rows[:-1]  # diffs[j] = row_{j+1} - row_j
         # sum_{m=1}^{n} b_m diffs[n-m] with the weights reversed onto j = 0..n-1
         acc = acc + grid.b[1 : n + 1][::-1] @ diffs
-    return coef, acc
+    return grid.coef, acc
 
 
 def caputo_residual(

@@ -160,7 +160,7 @@ def build_step_context(
     r = colloc.count
     if history.n_points != r:
         raise ValueError(f"history width {history.n_points} does not match {r} points")
-    t_next = (step_index + 1) * grid.dt
+    t_next = float(grid.t[step_index + 1])
 
     # the residual rows and the boundary points are the collocation set's
     # layout: the arctan surrogate past n_pde is never trained on

@@ -146,8 +146,7 @@ def fd_error_floor(problem, s_max, grid, s_eval, m):
     g2 = np.asarray(op.gamma2(s[1:-1]), dtype=float) / (2.0 * h)
     lower, upper = -(g1 - g2), -(g1 + g2)
     history = StepHistory(problem.data(s))
-    for k in range(grid.n_steps):
-        t = (k + 1) * grid.dt
+    for k, t in enumerate(grid.t[1:].tolist()):
         coef, acc = l1_history(grid, history, k)
         left, right = problem.left_bc(s[0], t), problem.right_bc(s[-1], t)
         rhs = op.forcing(s[1:-1], t) - coef * acc[1:-1]

@@ -86,7 +86,7 @@ def test_solve_surface_shape_and_data_row(tiny_solve):
     assert result.breakdowns[0].shape == (301, 4)
     assert result.breakdowns[1].shape == (151, 4)
     assert result.colloc.n_pde == result.colloc.count  # no surrogate column
-    assert np.allclose(result.natural_times, grid.times())
+    assert np.allclose(result.natural_times, grid.t)
 
 
 def test_solve_constant_problem_is_accurate(tiny_solve):
@@ -274,7 +274,7 @@ def test_surface_csv_round_trip(tiny_solve, tmp_path):
     # repr formatting makes the round trip bit-exact
     assert np.array_equal(mat[:, 2], result.surface.ravel())
     assert np.array_equal(mat[:12, 1], result.s_points)
-    assert np.array_equal(mat[::12, 0], grid.times())
+    assert np.array_equal(mat[::12, 0], grid.t)
 
 
 def test_surface_csv_bytes_match_per_cell_formatting(tiny_solve, tmp_path):

@@ -59,16 +59,30 @@ def test_b_weights_validation():
         b_weights(0.5, 0)
 
 
-def test_make_time_grid():
-    grid = make_time_grid(10, 1.0, 0.5)
-    assert grid.n_steps == 10
-    assert grid.dt == pytest.approx(0.1, rel=1e-15)
-    assert grid.horizon == pytest.approx(1.0, rel=1e-12)
-    times = grid.times()
-    assert times.size == 11
-    assert times[0] == 0.0
-    assert times[-1] == pytest.approx(1.0, rel=1e-12)
-    assert grid.b.size >= 10
+@pytest.mark.parametrize(
+    "n_steps, horizon, alpha",
+    [(20, 1.0, 1.0), (10, 1.0, 0.5), (1000, 1.0, 0.5), (7, 0.9, 0.3), (49, 1.0, 1.0)],
+)
+def test_make_time_grid(n_steps, horizon, alpha):
+    grid = make_time_grid(n_steps, horizon, alpha)
+    assert grid.n_steps == n_steps
+    assert grid.dt == horizon / n_steps
+    assert grid.horizon == pytest.approx(horizon, rel=1e-12)
+    assert grid.b.size == (n_steps if alpha < 1.0 else 0)
+    # node times are Python's k * dt bit for bit, and read-only
+    assert grid.t.shape == (n_steps + 1,)
+    assert [float(t) for t in grid.t] == [k * grid.dt for k in range(n_steps + 1)]
+    assert grid.horizon == grid.t[-1]
+    assert not grid.t.flags.writeable
+    with pytest.raises(ValueError):
+        grid.t[0] = 1.0
+    # the history coefficient is the Python-float expression, bit for bit
+    if alpha == 1.0:
+        coef = 1.0 / grid.dt
+    else:
+        coef = 1.0 / (math.gamma(2.0 - alpha) * grid.dt**alpha)
+    assert type(grid.coef) is float and grid.coef == coef
+    assert l1_history(grid, StepHistory(np.zeros(2)), 0)[0] == coef
 
 
 def test_time_grid_alpha_one_has_no_memory_weights():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def naive_cost(params, problem, dmap, grid, colloc, history, step_index):
     pts = colloc.points
     r = pts.size
     s_vals = from_x(dmap, colloc.points)
-    t_next = (step_index + 1) * grid.dt
+    t_next = float(grid.t[step_index + 1])
     if dmap.kind == "arctan":
         pde = np.arange(r - 1)
         right_index = r - 2
@@ -209,6 +210,32 @@ def test_cost_gradient_matches_finite_differences(case):
         cd = step_cost(NetworkParams.from_flat(down, n), problem, dmap, grid, colloc, history, 1)
         fd[j] = (cu.total - cd.total) / (2.0 * h)
     assert np.allclose(fd, grad, rtol=1e-5, atol=1e-9)
+
+
+def test_step_times_reach_the_problem_as_python_floats():
+    # isinstance(t, float) would pass a leaked np.float64, which subclasses float
+    seen = []
+
+    def record(value):
+        def f(s, t):
+            seen.append(t)
+            return value
+        return f
+
+    base = constant_problem()
+    problem = replace(base, operator=replace(base.operator, forcing=record(0.0)),
+                      left_bc=record(1.0), right_bc=record(1.0))
+    dmap = truncated_map(2.0)
+    grid = make_time_grid(7, 0.9, 1.0)
+    colloc = build_collocation(dmap, 8)
+    history = StepHistory(np.ones(8))
+    for _ in range(grid.n_steps - 1):
+        history.append(np.ones(8))
+    for k in (0, grid.n_steps - 1):
+        seen.clear()
+        build_step_context(problem, dmap, grid, colloc, history, k)
+        assert len(seen) == 3  # forcing, left_bc, right_bc
+        assert all(type(t) is float and t == (k + 1) * grid.dt for t in seen)
 
 
 def test_context_contract_errors():
